@@ -4,9 +4,10 @@ Two tiers:
 
 * **Kernel microbenches** (always run): each hot predictor family,
   simulated over the same gcc/ref trace with ``kernel="reference"``
-  versus ``kernel="fast"``.  The pairing is the point -- the ratio of
-  the two rows is the speedup the fast kernels buy, and the fast rows
-  are what the CI regression gate protects.
+  versus ``kernel="fast"``, and the paper's combined measurement run.
+  The pairing is the point -- the ratio of the two rows is the speedup
+  the fast kernels buy, and the fast rows are what the CI regression
+  gate protects.
 * **End-to-end benches** (skipped by ``--quick``): a full two-phase
   ``ExperimentContext.run`` configuration, measuring what an experiment
   cell actually costs, combined-predictor overhead and all.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 from repro.bench.snapshot import BenchResult, BenchSnapshot
 from repro.bench.timing import measure
-from repro.core.simulator import simulate
+from repro.core.simulator import run_combined, simulate
 from repro.experiments.common import KIB, ExperimentContext
 from repro.kernels import numpy_available
 from repro.predictors.sizing import make_predictor
@@ -40,6 +41,7 @@ __all__ = [
     "QUICK_TRACE_LENGTH",
     "WARMUP",
     "collision_cases",
+    "combined_cases",
     "end_to_end_cases",
     "kernel_cases",
     "profiling_cases",
@@ -76,8 +78,9 @@ class BenchCase:
         return self.scheme != "none"
 
 
-def kernel_cases(include_fast: bool | None = None) -> tuple[BenchCase, ...]:
-    """The reference/fast microbench pairs, in report order.
+def _pair(prefix: str, predictor: str,
+          include_fast: bool | None) -> tuple[BenchCase, ...]:
+    """``<prefix>/reference`` and, when fast kernels run, ``<prefix>/fast``.
 
     ``include_fast=None`` probes numpy availability; passing an explicit
     boolean makes the suite deterministic for tests.
@@ -86,10 +89,24 @@ def kernel_cases(include_fast: bool | None = None) -> tuple[BenchCase, ...]:
         include_fast = numpy_available()
     kernels = ("reference", "fast") if include_fast else ("reference",)
     return tuple(
-        BenchCase(f"{family}/{kernel}", family, _SIZE_BYTES, kernel)
-        for family in _FAMILIES
+        BenchCase(f"{prefix}/{kernel}", predictor, _SIZE_BYTES, kernel)
         for kernel in kernels
     )
+
+
+def kernel_cases(include_fast: bool | None = None) -> tuple[BenchCase, ...]:
+    """The reference/fast microbench pairs, in report order."""
+    return tuple(
+        case for family in _FAMILIES
+        for case in _pair(family, family, include_fast)
+    )
+
+
+def combined_cases(include_fast: bool | None = None) -> tuple[BenchCase, ...]:
+    """The combined-predictor pair: gshare under its Static_Acc hints,
+    with collision tagging (the Figures 1-6 run).  Hint selection runs
+    in the runner factory, outside the timed region."""
+    return _pair("combined", "gshare", include_fast)
 
 
 def profiling_cases(include_fast: bool | None = None) -> tuple[BenchCase, ...]:
@@ -100,13 +117,7 @@ def profiling_cases(include_fast: bool | None = None) -> tuple[BenchCase, ...]:
     :meth:`~repro.profiling.profile.ProgramProfile.from_trace` pass,
     and the ratio is the phase-one speedup.
     """
-    if include_fast is None:
-        include_fast = numpy_available()
-    kernels = ("reference", "fast") if include_fast else ("reference",)
-    return tuple(
-        BenchCase(f"profile/{kernel}", "bimodal", _SIZE_BYTES, kernel)
-        for kernel in kernels
-    )
+    return _pair("profile", "bimodal", include_fast)
 
 
 def collision_cases(include_fast: bool | None = None) -> tuple[BenchCase, ...]:
@@ -115,16 +126,10 @@ def collision_cases(include_fast: bool | None = None) -> tuple[BenchCase, ...]:
     ``collision/reference`` runs the per-event victim/aggressor loop,
     ``collision/fast`` the vectorized
     :func:`~repro.profiling.collision_profile.measure_collision_involvement`
-    path (index snapshot + stable sort + bincounts); the ratio is the
+    path (replay + previous-user sort + bincounts); the ratio is the
     collision-phase speedup of the static_collision selection flow.
     """
-    if include_fast is None:
-        include_fast = numpy_available()
-    kernels = ("reference", "fast") if include_fast else ("reference",)
-    return tuple(
-        BenchCase(f"collision/{kernel}", "gshare", _SIZE_BYTES, kernel)
-        for kernel in kernels
-    )
+    return _pair("collision", "gshare", include_fast)
 
 
 def replay_cases() -> tuple[BenchCase, ...]:
@@ -229,30 +234,35 @@ def _case_runner(case: BenchCase, ctx: ExperimentContext):
             simulate(pinned, predictor, kernel=case.kernel)
         return run
     trace = ctx.trace(_PROGRAM, _INPUT)
+    if case.name.startswith("combined/"):
+        hints = ctx.hints(_PROGRAM, "static_acc", case.predictor,
+                          case.size_bytes)
+
+        def run() -> None:
+            run_combined(trace, make_predictor(case.predictor, case.size_bytes),
+                         hints, track_collisions=True, kernel=case.kernel)
+        return run
     if case.name.startswith("collision/"):
         from repro.profiling.collision_profile import (
             _measure_collision_involvement_scalar,
             measure_collision_involvement,
         )
 
-        if case.kernel == "reference":
-            def run() -> None:
-                _measure_collision_involvement_scalar(
-                    trace, make_predictor(case.predictor, case.size_bytes))
-        else:
-            def run() -> None:
-                measure_collision_involvement(
-                    trace, make_predictor(case.predictor, case.size_bytes))
+        attribute = (_measure_collision_involvement_scalar
+                     if case.kernel == "reference"
+                     else measure_collision_involvement)
+
+        def run() -> None:
+            attribute(trace, make_predictor(case.predictor, case.size_bytes))
         return run
     if case.name.startswith("profile/"):
         from repro.profiling.profile import ProgramProfile
 
-        if case.kernel == "reference":
-            def run() -> None:
-                ProgramProfile._from_trace_scalar(trace)
-        else:
-            def run() -> None:
-                ProgramProfile.from_trace(trace)
+        tally = (ProgramProfile._from_trace_scalar
+                 if case.kernel == "reference" else ProgramProfile.from_trace)
+
+        def run() -> None:
+            tally(trace)
         return run
 
     def run() -> None:
@@ -273,8 +283,8 @@ def run_suite(
     if repeats is None:
         repeats = QUICK_REPEATS if quick else DEFAULT_REPEATS
     ctx = ExperimentContext(trace_length=trace_length, kernel="auto")
-    cases = (kernel_cases() + profiling_cases() + collision_cases()
-             + replay_cases() + service_cases())
+    cases = (kernel_cases() + combined_cases() + profiling_cases()
+             + collision_cases() + replay_cases() + service_cases())
     if not quick:
         cases = cases + end_to_end_cases()
     results = []

@@ -62,6 +62,11 @@ class CombinedPredictor(BranchPredictor):
         self.static_mispredictions = 0
         self._last_was_static = False
 
+    def hint_tables(self) -> tuple[dict[int, bool], dict[int, bool]]:
+        """The ``(direction, shift flag)`` tables predict/update consult,
+        keyed by static branch address (read-only; for repro.kernels)."""
+        return self._static_direction, self._static_shift
+
     @property
     def last_was_static(self) -> bool:
         """Whether the most recent predict() used a static hint."""

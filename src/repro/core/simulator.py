@@ -90,20 +90,20 @@ def simulate(
 
     ``kernel`` selects the execution strategy (see :mod:`repro.kernels`
     for the modes and the bit-identical contract); it never changes a
-    result, only how fast it is produced.  Collision tracking observes
-    every individual lookup, so it always runs the reference loop.
+    result, only how fast it is produced.  Collision counts derive from
+    a fast replay's counter indices, so tracking takes the kernel too.
     """
     validate_kernel_mode(kernel)
-    tracker = CollisionTracker(predictor) if track_collisions else None
-
-    mispredictions = None
-    if tracker is None and kernel != "reference":
-        mispredictions = try_fast_simulate(
-            trace, predictor, require=kernel == "fast"
-        )
-    if mispredictions is None:
+    replay = None
+    if kernel != "reference":
+        replay = try_fast_simulate(trace, predictor, require=kernel == "fast")
+    if replay is None:
+        tracker = CollisionTracker(predictor) if track_collisions else None
         mispredictions = _reference_loop(trace, predictor, tracker)
-    collision_counts = tracker.counts if tracker is not None else None
+        collision_counts = tracker.counts if tracker is not None else None
+    else:
+        mispredictions = replay.mispredictions
+        collision_counts = replay.collision_counts() if track_collisions else None
 
     static_branches = 0
     static_mispredictions = 0
@@ -202,9 +202,10 @@ def run_combined(
 ) -> SimulationResult:
     """Phase two: measure the combined predictor on the measurement trace.
 
-    ``kernel`` is passed through to :func:`simulate`; a combined
-    predictor has no fast kernel today, so every mode currently runs
-    the reference loop, but the knob keeps the call sites uniform.
+    ``kernel`` is passed through to :func:`simulate`: a combined
+    predictor over a kernel family (bimodal, gshare, ghist) replays as
+    a hint mask plus the family's kernel; over any other family it runs
+    the reference loop.
     """
     combined = CombinedPredictor(dynamic, hints, shift_policy=shift_policy)
     scheme = hints.scheme

@@ -1,7 +1,14 @@
-"""Whole-trace kernels for the hot dynamic predictors.
+"""Whole-trace replay kernels for the hot dynamic predictors.
 
-Each kernel replays one :class:`~repro.workloads.trace.BranchTrace`
-through one predictor family without a per-branch Python loop:
+Each family has exactly one kernel, with one contract::
+
+    replay(predictor, addresses, outcomes, history_outcomes=None)
+        -> (indices, predictions)
+
+It replays a stream of counter-table events -- every branch of a plain
+run, the dynamically predicted branches of a combined one -- and
+returns each event's counter index and prediction, without a
+per-branch Python loop:
 
 1. the counter index of every event is precomputed as one vectorized
    expression (trace outcomes are known in advance, so the global
@@ -13,36 +20,35 @@ through one predictor family without a per-branch Python loop:
    register, ``_PREDICT_STATE`` -- is written back so the predictor is
    indistinguishable from one trained by the reference loop.
 
-Every kernel is bit-identical to the reference ``predict``/``update``
-loop by contract (same mispredictions, same final state), including
-warm-started predictors.  Callers go through
-:func:`repro.kernels.try_fast_simulate`, which performs the type and
-limit checks; numpy is imported lazily so the package stays importable
-(and the reference loop fully functional) without it.
+``history_outcomes`` is for a history register that shifts more than
+the replayed events (a combined predictor's static outcomes under a
+:class:`~repro.arch.isa.ShiftPolicy`): a ``(stream, positions)`` pair
+of the outcomes the register shifts, in order, and each replayed
+event's position in that stream.  ``None`` means the register shifts
+exactly the replayed events.
+
+Callers go through :func:`repro.kernels.try_fast_simulate`, which
+performs the type and limit checks; numpy is imported lazily so the
+package stays importable (and the reference loop functional) without it.
 """
 
 from __future__ import annotations
 
-from repro.kernels.scan import scan_counters
+from repro.kernels.scan import index_dtype, scan_counters
 from repro.utils.bits import ADDRESS_ALIGN_SHIFT, log2_exact
 
 __all__ = [
     "MAX_COUNTER_BITS",
     "MAX_HISTORY_LENGTH",
     "MAX_TRACE_LENGTH",
-    "indices_bimodal",
-    "indices_ghist",
-    "indices_gshare",
-    "predictions_bimodal",
-    "predictions_ghist",
-    "predictions_gshare",
-    "simulate_bimodal",
-    "simulate_ghist",
-    "simulate_gshare",
+    "replay_bimodal",
+    "replay_ghist",
+    "replay_gshare",
 ]
 
 MAX_TRACE_LENGTH = 1 << 30
-"""Scan adds are int32; cumulative deltas must stay far from overflow."""
+"""Scan adds and event positions are int32; both must stay far from
+overflow."""
 
 MAX_COUNTER_BITS = 16
 """Counter states must fit int32 alongside the cumulative deltas."""
@@ -98,12 +104,12 @@ def _final_history(outcomes, length, initial):
     return value
 
 
-def _table_predictions(predictor, indices, outcomes):
-    """Scan the counter table, write all predictor state back.
+def _scan_table(predictor, indices, outcomes):
+    """Scan the counter table over the events, write its state back.
 
     Returns the per-event prediction array.  ``indices`` must already
-    be masked into the table; the caller has updated any history
-    register separately (its evolution does not depend on the table).
+    be masked into the table; the caller advances any history register
+    separately (its evolution does not depend on the table).
     """
     import numpy
 
@@ -119,110 +125,61 @@ def _table_predictions(predictor, indices, outcomes):
     return predictions
 
 
-def _mispredictions(predictions, outcomes):
+def _pc_indices(predictor, addresses):
+    """Masked address bits of each event, shifted straight into the
+    narrow index dtype: the cast wraps, which keeps the low bits the
+    mask selects, so no int64 copy of the addresses is made."""
     import numpy
 
-    return int(numpy.count_nonzero(predictions != outcomes))
+    table = predictor.table
+    indices = numpy.empty(addresses.shape[0], dtype=index_dtype(table.entries))
+    numpy.right_shift(addresses, ADDRESS_ALIGN_SHIFT, out=indices,
+                      casting="unsafe")
+    indices &= table.mask
+    return indices
 
 
-def indices_bimodal(trace, predictor):
-    """Per-event counter-table indices for
-    :class:`~repro.predictors.bimodal.BimodalPredictor`.
+def _history_indices(predictor, outcomes, history_outcomes):
+    """Per-event history windows, folded into the table's index width.
 
-    Pure: no predictor state is read beyond the table geometry and none
-    is written, so the collision profiler can take an index snapshot
-    before the prediction kernel advances the predictor.
-    """
-    addresses, _ = trace.arrays()
-    return (addresses >> ADDRESS_ALIGN_SHIFT) & predictor.table.mask
-
-
-def predictions_bimodal(trace, predictor):
-    """Per-event predictions for
-    :class:`~repro.predictors.bimodal.BimodalPredictor`, state advanced."""
-    _, outcomes = trace.arrays()
-    return _table_predictions(predictor, indices_bimodal(trace, predictor), outcomes)
-
-
-def simulate_bimodal(trace, predictor):
-    """Fast path for :class:`~repro.predictors.bimodal.BimodalPredictor`."""
-    _, outcomes = trace.arrays()
-    return _mispredictions(predictions_bimodal(trace, predictor), outcomes)
-
-
-def _folded_windows(predictor, outcomes):
-    """Per-branch history windows, folded into the table's index width.
-
-    Every returned window fits the index mask (an unfolded register is
-    at most ``width`` bits; a folded one is masked here, matching the
-    reference predictors' mask-after-fold), so gshare's XOR with masked
-    address bits needs no re-mask.
+    Reads the register's current value (the windows are a pure function
+    of it plus the history stream), then advances the register past the
+    whole stream.  Every returned window fits the index mask (an
+    unfolded register is at most ``width`` bits; a folded one is masked
+    here, matching the reference predictors' mask-after-fold), so
+    gshare's XOR with masked address bits needs no re-mask.
     """
     history = predictor.history
-    width = log2_exact(predictor.table.entries)
-    windows = _history_windows(outcomes, history.length, history.value)
+    table = predictor.table
+    stream, positions = (
+        (outcomes, None) if history_outcomes is None else history_outcomes
+    )
+    windows = _history_windows(stream, history.length, history.value)
+    history.import_value(_final_history(stream, history.length, history.value))
+    if positions is not None:
+        windows = windows[positions]
+    width = log2_exact(table.entries)
     if history.length > width:
         windows ^= windows >> width
-        windows &= predictor.table.mask
-    return windows
+        windows &= table.mask
+    return windows.astype(index_dtype(table.entries))
 
 
-def indices_gshare(trace, predictor):
-    """Per-event counter-table indices for
-    :class:`~repro.predictors.gshare.GsharePredictor`.
-
-    Reads the history register's *current* value (the windows are a
-    pure function of it plus the trace outcomes) without advancing it,
-    so this must run before the prediction kernel imports the final
-    history.
-    """
-    addresses, outcomes = trace.arrays()
-    windows = _folded_windows(predictor, outcomes)
-    pc = ((addresses >> ADDRESS_ALIGN_SHIFT) & predictor.table.mask).astype(
-        windows.dtype
-    )
-    return pc ^ windows
+def replay_bimodal(predictor, addresses, outcomes, history_outcomes=None):
+    """Replay for :class:`~repro.predictors.bimodal.BimodalPredictor`
+    (history-less, so ``history_outcomes`` is ignored)."""
+    indices = _pc_indices(predictor, addresses)
+    return indices, _scan_table(predictor, indices, outcomes)
 
 
-def predictions_gshare(trace, predictor):
-    """Per-event predictions for
-    :class:`~repro.predictors.gshare.GsharePredictor`, state advanced."""
-    _, outcomes = trace.arrays()
-    history = predictor.history
-    indices = indices_gshare(trace, predictor)
-    predictions = _table_predictions(predictor, indices, outcomes)
-    history.import_value(_final_history(outcomes, history.length, history.value))
-    return predictions
+def replay_gshare(predictor, addresses, outcomes, history_outcomes=None):
+    """Replay for :class:`~repro.predictors.gshare.GsharePredictor`."""
+    indices = _history_indices(predictor, outcomes, history_outcomes)
+    indices ^= _pc_indices(predictor, addresses)
+    return indices, _scan_table(predictor, indices, outcomes)
 
 
-def simulate_gshare(trace, predictor):
-    """Fast path for :class:`~repro.predictors.gshare.GsharePredictor`."""
-    _, outcomes = trace.arrays()
-    return _mispredictions(predictions_gshare(trace, predictor), outcomes)
-
-
-def indices_ghist(trace, predictor):
-    """Per-event counter-table indices for
-    :class:`~repro.predictors.ghist.GhistPredictor`.
-
-    Like :func:`indices_gshare`: reads the current history register,
-    never advances it -- call before the prediction kernel.
-    """
-    _, outcomes = trace.arrays()
-    return _folded_windows(predictor, outcomes)
-
-
-def predictions_ghist(trace, predictor):
-    """Per-event predictions for
-    :class:`~repro.predictors.ghist.GhistPredictor`, state advanced."""
-    _, outcomes = trace.arrays()
-    history = predictor.history
-    predictions = _table_predictions(predictor, indices_ghist(trace, predictor), outcomes)
-    history.import_value(_final_history(outcomes, history.length, history.value))
-    return predictions
-
-
-def simulate_ghist(trace, predictor):
-    """Fast path for :class:`~repro.predictors.ghist.GhistPredictor`."""
-    _, outcomes = trace.arrays()
-    return _mispredictions(predictions_ghist(trace, predictor), outcomes)
+def replay_ghist(predictor, addresses, outcomes, history_outcomes=None):
+    """Replay for :class:`~repro.predictors.ghist.GhistPredictor`."""
+    indices = _history_indices(predictor, outcomes, history_outcomes)
+    return indices, _scan_table(predictor, indices, outcomes)

@@ -39,20 +39,22 @@ differentially against randomized traces.
 
 from __future__ import annotations
 
-__all__ = ["scan_counters"]
+__all__ = ["index_dtype", "scan_counters"]
 
 _INT8_MAX_VALUE = 31
 """Widest counter the int8 scan holds: values, clamped shifts, and the
 gating sentinel (64) must all stay inside ``[-128, 127]``."""
 
 
-def _sort_key_dtype(numpy, entries: int):
-    """Smallest integer dtype holding ``[0, entries)`` index keys.
+def index_dtype(entries: int):
+    """Smallest integer dtype holding ``[0, entries)`` counter indices.
 
     numpy's stable sort is a radix sort for 16-bit integers but a
     mergesort above that, an ~8x difference on typical traces; every
     table the paper simulates fits 16-bit keys.
     """
+    import numpy
+
     if entries <= 1 << 15:
         return numpy.int16
     if entries <= 1 << 16:
@@ -99,7 +101,7 @@ def scan_counters(indices, outcomes, base, max_value, threshold):
         big = 1 << 20
     shift_limit = max_value + 1
 
-    keys = indices.astype(_sort_key_dtype(numpy, base.shape[0]))
+    keys = indices.astype(index_dtype(base.shape[0]), copy=False)
     order = numpy.argsort(keys, kind="stable")
     sidx = keys[order]
     staken = outcomes[order]

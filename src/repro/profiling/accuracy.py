@@ -126,44 +126,26 @@ def measure_accuracy(trace: BranchTrace, predictor: BranchPredictor) -> Accuracy
     ``Static_Acc`` methodology.
 
     Kernel-backed predictor families replay through
-    :func:`repro.kernels.try_fast_predictions` and tally per-branch
-    hits with one sort-based groupby (the
-    :meth:`~repro.profiling.profile.ProgramProfile.from_trace` idiom);
-    the result is bit-identical to the reference loop, including the
-    mapping's first-occurrence insertion order.
+    :func:`repro.kernels.try_fast_simulate` and tally per-branch hits
+    over the replay's address groups with two bincounts; the result is
+    bit-identical to the reference loop, including the mapping's
+    first-occurrence insertion order.
     """
-    from repro.kernels import try_fast_predictions
+    from repro.kernels import address_groups, try_fast_simulate
 
-    predictions = try_fast_predictions(trace, predictor)
-    if predictions is None:
+    replay = try_fast_simulate(trace, predictor)
+    if replay is None:
         return _measure_accuracy_scalar(trace, predictor)
     import numpy
 
-    if len(trace) == 0:
-        return AccuracyProfile(
-            trace.program_name, trace.input_name, predictor.name, {}
-        )
-    addresses, outcomes = trace.arrays()
-    n = addresses.shape[0]
-    correct = (predictions == outcomes).astype(numpy.int64)
-    sidx = numpy.argsort(addresses)
-    sorted_addr = addresses[sidx]
-    starts = numpy.flatnonzero(
-        numpy.r_[True, sorted_addr[1:] != sorted_addr[:-1]]
-    )
-    executions = numpy.diff(numpy.r_[starts, n])
-    hits = numpy.add.reduceat(correct[sidx], starts)
-    # The sort need not be stable: each group's first occurrence is the
-    # minimum original index within the group.
-    first = numpy.minimum.reduceat(sidx, starts)
-    order = numpy.argsort(first, kind="stable")
+    addresses, ids = address_groups(replay.addresses)
+    groups = len(addresses)
+    executions = numpy.bincount(ids, minlength=groups)
+    hits = numpy.bincount(ids[replay.predictions == replay.outcomes],
+                          minlength=groups)
     branches = {
         address: BranchAccuracy(executions=e, correct=c)
-        for address, e, c in zip(
-            sorted_addr[starts][order].tolist(),
-            executions[order].tolist(),
-            hits[order].tolist(),
-        )
+        for address, e, c in zip(addresses, executions.tolist(), hits.tolist())
     }
     return AccuracyProfile(
         trace.program_name, trace.input_name, predictor.name, branches

@@ -100,13 +100,10 @@ def measure_collision_involvement(
     instance.
 
     Kernel-backed predictor families take a vectorized path: the
-    per-event counter indices come from
-    :func:`repro.kernels.try_fast_indices` (snapshotted *before* the
-    prediction kernel advances the history register), the previous user
-    of each counter from one stable sort over those indices, and the
-    per-branch charges from bincounts.  Bit-identical to the reference
-    loop below, including the profile's first-occurrence insertion
-    order.
+    victim/aggressor pairs come from the replay's previous-user pass
+    (:meth:`repro.kernels.Replay.collision_pairs`) and the per-branch
+    charges from bincounts.  Bit-identical to the reference loop below,
+    including the profile's first-occurrence insertion order.
     """
     records = _fast_collision_records(trace, predictor)
     if records is None:
@@ -121,82 +118,39 @@ def _fast_collision_records(
 ) -> dict[int, CollisionInvolvement] | None:
     """Vectorized victim/aggressor attribution, or None (no kernel).
 
-    The single-table families access exactly one counter per event (the
-    index the kernels compute), so the scalar loop's tag array reduces
-    to "the previous event with my index": a stable argsort groups
-    events by index, and within a group each event's predecessor held
-    the tag.  A collision is a predecessor with a different address;
-    the victim and that one aggressor are each charged once, on the
-    victim's correctness.
+    Each collision pair charges its victim and its one aggressor once,
+    on the victim's correctness.  An aggressor executed before its
+    victim, so first executions are the scalar loop's only insertions
+    and first-execution group ids reproduce its order.
     """
-    from repro.kernels import try_fast_indices, try_fast_predictions
+    from repro.kernels import address_groups, try_fast_simulate
 
-    indices = try_fast_indices(trace, predictor)
-    if indices is None:
-        return None
-    predictions = try_fast_predictions(trace, predictor)
-    if predictions is None:
-        # Dispatch and guards match try_fast_indices, so this cannot
-        # happen today -- but the index snapshot is pure, so falling
-        # back to the reference loop stays correct if it ever does.
+    replay = try_fast_simulate(trace, predictor)
+    if replay is None:
         return None
     import numpy
 
-    addresses, outcomes = trace.arrays()
-    n = addresses.shape[0]
-    if n == 0:
-        return {}
-    correct = predictions == outcomes
+    addresses, ids = address_groups(replay.addresses)
+    groups = len(addresses)
+    victims, aggressors = replay.collision_pairs()
+    correct = replay.predictions[victims] == replay.outcomes[victims]
+    victim_ids = ids[victims]
+    aggressor_ids = ids[aggressors]
+    del replay, victims, aggressors
 
-    # Previous user of each event's counter (-1 = counter untouched).
-    sidx = numpy.argsort(indices, kind="stable")
-    same = indices[sidx[1:]] == indices[sidx[:-1]]
-    prev = numpy.full(n, -1, dtype=sidx.dtype)
-    prev[sidx[1:][same]] = sidx[:-1][same]
-    colliding = (prev >= 0) & (addresses[prev] != addresses)
+    def charges(mask):
+        return (numpy.bincount(victim_ids[mask], minlength=groups)
+                + numpy.bincount(aggressor_ids[mask], minlength=groups))
 
-    # Factorize addresses into ids ranked by first occurrence, so the
-    # records dict below iterates in the scalar loop's insertion order
-    # (an aggressor always executed before its victim, so first
-    # executions are the only insertions).
-    saddr = numpy.argsort(addresses)
-    sorted_addr = addresses[saddr]
-    starts = numpy.flatnonzero(
-        numpy.r_[True, sorted_addr[1:] != sorted_addr[:-1]]
-    )
-    groups = starts.shape[0]
-    first = numpy.minimum.reduceat(saddr, starts)
-    order = numpy.argsort(first, kind="stable")
-    rank = numpy.empty(groups, dtype=numpy.int64)
-    rank[order] = numpy.arange(groups)
-    group_of_sorted = numpy.cumsum(
-        numpy.r_[False, sorted_addr[1:] != sorted_addr[:-1]]
-    )
-    ids = numpy.empty(n, dtype=numpy.int64)
-    ids[saddr] = rank[group_of_sorted]
-
-    executions = numpy.bincount(ids, minlength=groups)
-    col = numpy.flatnonzero(colliding)
-    col_correct = correct[col]
-    victim_ids = ids[col]
-    aggressor_ids = ids[prev[col]]
-    constructive = (
-        numpy.bincount(victim_ids[col_correct], minlength=groups)
-        + numpy.bincount(aggressor_ids[col_correct], minlength=groups)
-    )
-    destructive = (
-        numpy.bincount(victim_ids[~col_correct], minlength=groups)
-        + numpy.bincount(aggressor_ids[~col_correct], minlength=groups)
-    )
     return {
         address: CollisionInvolvement(
             executions=e, destructive=d, constructive=c
         )
         for address, e, d, c in zip(
-            sorted_addr[starts][order].tolist(),
-            executions.tolist(),
-            destructive.tolist(),
-            constructive.tolist(),
+            addresses,
+            numpy.bincount(ids, minlength=groups).tolist(),
+            charges(~correct).tolist(),
+            charges(correct).tolist(),
         )
     }
 
@@ -237,23 +191,15 @@ def _measure_collision_involvement_scalar(
             victim = CollisionInvolvement()
             records[address] = victim
         victim.executions += 1
-        if aggressors:
+        # An aggressor executed before its victim: its record exists.
+        for aggressor_address in aggressors:
+            aggressor = records[aggressor_address]
             if predicted == taken:
-                victim.constructive += len(aggressors)
-                for aggressor_address in aggressors:
-                    aggressor = records.get(aggressor_address)
-                    if aggressor is None:
-                        aggressor = CollisionInvolvement()
-                        records[aggressor_address] = aggressor
-                    aggressor.constructive += 1
+                victim.constructive += 1
+                aggressor.constructive += 1
             else:
-                victim.destructive += len(aggressors)
-                for aggressor_address in aggressors:
-                    aggressor = records.get(aggressor_address)
-                    if aggressor is None:
-                        aggressor = CollisionInvolvement()
-                        records[aggressor_address] = aggressor
-                    aggressor.destructive += 1
+                victim.destructive += 1
+                aggressor.destructive += 1
 
     return CollisionProfile(
         trace.program_name, trace.input_name, predictor.name, records

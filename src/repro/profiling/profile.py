@@ -88,40 +88,26 @@ class ProgramProfile:
     def from_trace(cls, trace: BranchTrace) -> "ProgramProfile":
         """Profile a trace (the Atom instrumentation pass of phase one).
 
-        Uses a whole-column numpy tally when numpy is available; the
+        Uses a whole-column numpy tally when numpy is available: two
+        bincounts over :func:`repro.kernels.address_groups`.  The
         result is bit-identical to the scalar pass, including the
         mapping's first-occurrence insertion order (which ``to_json``
-        serializes).  The tally is a sort-based groupby: a plain
-        argsort (no stable kind needed -- first occurrences come from
-        a per-group minimum) and ``reduceat`` group sums.
+        serializes).
         """
         try:
             import numpy
         except ImportError:
             return cls._from_trace_scalar(trace)
-        if len(trace) == 0:
-            return cls(trace.program_name, trace.input_name, {})
+        from repro.kernels import address_groups
+
         addresses, outcomes = trace.arrays()
-        n = addresses.shape[0]
-        sidx = numpy.argsort(addresses)
-        sorted_addr = addresses[sidx]
-        starts = numpy.flatnonzero(
-            numpy.r_[True, sorted_addr[1:] != sorted_addr[:-1]]
-        )
-        executions = numpy.diff(numpy.r_[starts, n])
-        taken = numpy.add.reduceat(
-            outcomes[sidx].astype(numpy.int64), starts
-        )
-        # The sort need not be stable: each group's first occurrence
-        # is the minimum original index within the group.
-        first = numpy.minimum.reduceat(sidx, starts)
-        order = numpy.argsort(first, kind="stable")
+        unique, ids = address_groups(addresses)
         branches = {
             address: BranchProfile(executions=e, taken=t)
             for address, e, t in zip(
-                sorted_addr[starts][order].tolist(),
-                executions[order].tolist(),
-                taken[order].tolist(),
+                unique,
+                numpy.bincount(ids, minlength=len(unique)).tolist(),
+                numpy.bincount(ids[outcomes], minlength=len(unique)).tolist(),
             )
         }
         return cls(trace.program_name, trace.input_name, branches)

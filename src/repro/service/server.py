@@ -14,10 +14,11 @@ into anything result-shaped.  Finished entries are evicted when polled
 with ``result`` (or when the table passes its bound, oldest first).
 
 Graceful shutdown drains: the listener closes (new connections refused),
-the scheduler runs its queue dry, the worker pool shuts down, and the
-final stats payload -- the same one the ``stats`` message serves -- is
-persisted through the atomic-write seam so a supervisor can read the
-run's counters after the process is gone.
+the scheduler runs its queue dry, the worker pool shuts down, open
+connections end after their replies, and the final stats payload -- the
+same one the ``stats`` message serves -- is persisted through the
+atomic-write seam so a supervisor can read the run's counters after the
+process is gone.
 """
 
 from __future__ import annotations
@@ -101,6 +102,8 @@ class PredictorService:
         self._server: asyncio.AbstractServer | None = None
         self._ids = itertools.count(1)
         self._registry: dict[int, asyncio.Task] = {}
+        # Connection handler task -> its (reader, writer).
+        self._open: dict[asyncio.Task, tuple] = {}
         self._shutdown = asyncio.Event()
 
     # -- lifecycle ---------------------------------------------------------
@@ -142,8 +145,20 @@ class PredictorService:
             if not task.done():
                 await asyncio.wait({task})
         await self.scheduler.stop()
+        await self._close_connections()
         if stats_path is not None:
             atomic_write_json(stats_path, self.stats_payload(), indent=2)
+
+    async def _close_connections(self) -> None:
+        """End every open connection as a client EOF would: each handler
+        answers what it read and closes its writer itself, instead of
+        idling in ``readline`` until event-loop teardown cancels it and
+        the ``CancelledError`` surfaces as a traceback."""
+        for reader, writer in self._open.values():
+            writer.transport.pause_reading()
+            reader.feed_eof()
+        if self._open:
+            await asyncio.wait(set(self._open), timeout=5.0)
 
     async def run(self, stats_path: str | None = None) -> None:
         """Serve until a ``shutdown`` request (or cancellation), then drain."""
@@ -166,6 +181,8 @@ class PredictorService:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.connections += 1
+        handler = asyncio.current_task()
+        self._open[handler] = (reader, writer)
         lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
         try:
@@ -188,6 +205,7 @@ class PredictorService:
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
         finally:
+            del self._open[handler]
             if tasks:
                 await asyncio.wait(set(tasks))
             writer.close()

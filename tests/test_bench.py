@@ -8,6 +8,7 @@ import pytest
 
 from repro.bench.cases import (
     collision_cases,
+    combined_cases,
     kernel_cases,
     profiling_cases,
     replay_cases,
@@ -148,6 +149,14 @@ class TestSuite:
         without = [case.name for case in collision_cases(include_fast=False)]
         assert without == ["collision/reference"]
 
+    def test_combined_cases_pair_reference_and_fast(self):
+        names = [case.name for case in combined_cases(include_fast=True)]
+        assert names == ["combined/reference", "combined/fast"]
+        assert all(not case.end_to_end
+                   for case in combined_cases(include_fast=True))
+        without = [case.name for case in combined_cases(include_fast=False)]
+        assert without == ["combined/reference"]
+
     def test_replay_cases_pure_simulation(self):
         names = [case.name for case in replay_cases()]
         assert names == ["replay/gshare"]
@@ -158,6 +167,7 @@ class TestSuite:
         cases = {entry.case for entry in snap.results}
         assert "bimodal/reference" in cases
         assert "profile/reference" in cases
+        assert "combined/fast" in cases
         assert "replay/gshare" in cases
         assert "service/roundtrip" in cases
         assert all(entry.median_s > 0.0 for entry in snap.results)

@@ -6,21 +6,25 @@ final counter table, same history register, same ``_last_index``.
 These tests enforce it differentially — every assertion runs the same
 randomized trace through both paths and compares the complete
 observable state, across the three kernel-backed predictor families,
-cold and warm starts, and the degenerate trace lengths.
+bare and under a combined predictor with every history-shift policy,
+with and without collision tagging, cold and warm starts, and the
+degenerate trace lengths.
 """
 
 from __future__ import annotations
 
+import logging
+
 import pytest
 
+from repro.arch.isa import ShiftPolicy
+from repro.core.combined import CombinedPredictor
 from repro.core.simulator import simulate
 from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentContext
 from repro.kernels import (
     KERNEL_MODES,
-    has_fast_kernel,
     numpy_available,
-    try_fast_predictions,
     try_fast_simulate,
     validate_kernel_mode,
 )
@@ -34,6 +38,8 @@ from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.ghist import GhistPredictor
 from repro.predictors.gshare import GsharePredictor
 from repro.predictors.sizing import make_predictor
+from repro.runner.cells import execute_cell
+from repro.staticpred.hints import HintAssignment, HintBits
 from repro.utils.rng import derive_seed, rng_from_seed
 from repro.workloads.trace import BranchTrace
 
@@ -51,6 +57,22 @@ def random_trace(seed: int, length: int, sites: int = 37) -> BranchTrace:
         trace.outcomes.append(rng.random() < 0.6)
         trace.gaps.append(3)
     return trace
+
+
+def random_hints(seed: int, static_fraction: float,
+                 sites: int = 37) -> HintAssignment:
+    """Static hints over :func:`random_trace`'s site window, with
+    random directions and per-branch shift flags."""
+    rng = rng_from_seed(seed)
+    hints = HintAssignment("diff", "random")
+    for site in range(sites):
+        if rng.random() < static_fraction:
+            hints.set(0x4000 + site * 4, HintBits(
+                use_static=True,
+                direction=rng.random() < 0.5,
+                shift_history=rng.random() < 0.5,
+            ))
+    return hints
 
 
 def warm_up(predictor, seed: int, length: int = 200) -> None:
@@ -78,9 +100,9 @@ def assert_bit_identical(factory, trace, warm_seed=None):
         warm_up(reference, warm_seed)
         warm_up(fast, warm_seed)
     result_ref = simulate(trace, reference, kernel="reference")
-    mispredictions = try_fast_simulate(trace, fast, require=True)
-    assert mispredictions is not None, "fast kernel unexpectedly missing"
-    assert mispredictions == result_ref.mispredictions
+    replay = try_fast_simulate(trace, fast, require=True)
+    assert replay is not None, "fast kernel unexpectedly missing"
+    assert replay.mispredictions == result_ref.mispredictions
     assert observable_state(fast) == observable_state(reference)
 
 
@@ -127,7 +149,7 @@ class TestBitIdentity:
             trace = random_trace(seed, 300)
             result = simulate(trace, reference, kernel="reference")
             assert try_fast_simulate(trace, fast, require=True) \
-                == result.mispredictions
+                .mispredictions == result.mispredictions
         assert observable_state(fast) == observable_state(reference)
 
     def test_simulate_fast_equals_reference_result(self, gcc_trace):
@@ -137,6 +159,105 @@ class TestBitIdentity:
             reference = simulate(gcc_trace, make_predictor(name, 2048),
                                  kernel="reference")
             assert fast == reference
+
+
+class TestCombinedBitIdentity:
+    """simulate() on the fast path equals the reference loop for every
+    kernel family, bare and combined, under every shift policy, with
+    and without collision tagging, from cold and warm starts."""
+
+    FAMILIES = [
+        pytest.param(lambda: BimodalPredictor(64), id="bimodal"),
+        pytest.param(lambda: GsharePredictor(64, history_length=5),
+                     id="gshare"),
+        pytest.param(lambda: GhistPredictor(32, history_length=5),
+                     id="ghist"),
+    ]
+
+    @staticmethod
+    def state(predictor) -> dict:
+        if isinstance(predictor, CombinedPredictor):
+            return {
+                "dynamic": observable_state(predictor.dynamic),
+                "static_lookups": predictor.static_lookups,
+                "static_mispredictions": predictor.static_mispredictions,
+                "last_was_static": predictor.last_was_static,
+            }
+        return observable_state(predictor)
+
+    def assert_paths_agree(self, build, trace, track_collisions,
+                           monkeypatch, warm_seed=None):
+        reference, fast = build(), build()
+        if warm_seed is not None:
+            warm_up(reference, warm_seed)
+            warm_up(fast, warm_seed)
+        expected = simulate(trace, reference, kernel="reference",
+                            track_collisions=track_collisions)
+        # Disabling the reference loop proves the fast path ran.
+        monkeypatch.setattr("repro.core.simulator._reference_loop", None)
+        actual = simulate(trace, fast, kernel="fast",
+                          track_collisions=track_collisions)
+        assert actual == expected
+        assert self.state(fast) == self.state(reference)
+        return actual
+
+    @pytest.mark.parametrize("factory", FAMILIES)
+    @pytest.mark.parametrize("policy", [None, *ShiftPolicy],
+                             ids=["plain", *(f"combined-{p.value}"
+                                             for p in ShiftPolicy)])
+    @pytest.mark.parametrize("track", [False, True],
+                             ids=["untracked", "tracked"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_random_traces(self, factory, policy, track, warm, monkeypatch):
+        seed = derive_seed(77, "combined", str(policy), track, warm)
+        hints = random_hints(seed, 0.4)
+
+        def build():
+            if policy is None:
+                return factory()
+            return CombinedPredictor(factory(), hints, shift_policy=policy)
+
+        self.assert_paths_agree(build, random_trace(seed, 900), track,
+                                monkeypatch,
+                                warm_seed=seed + 1 if warm else None)
+
+    @pytest.mark.parametrize("factory", FAMILIES)
+    @pytest.mark.parametrize("policy", list(ShiftPolicy),
+                             ids=[p.value for p in ShiftPolicy])
+    @pytest.mark.parametrize("static_fraction,length", [
+        pytest.param(0.4, 0, id="empty-trace"),
+        pytest.param(1.0, 400, id="all-static"),
+        pytest.param(0.0, 400, id="none-static"),
+    ])
+    def test_edge_cases(self, factory, policy, static_fraction, length,
+                        monkeypatch):
+        seed = derive_seed(78, "edges", policy.value, length)
+        hints = random_hints(seed, static_fraction)
+        build = lambda: CombinedPredictor(  # noqa: E731
+            factory(), hints, shift_policy=policy)
+        result = self.assert_paths_agree(build, random_trace(seed, length),
+                                         True, monkeypatch, warm_seed=seed + 1)
+        # static_branches also counts the warm-up, so check the table.
+        if static_fraction == 1.0:
+            assert result.collisions.lookups == 0
+        elif static_fraction == 0.0:
+            assert result.collisions.lookups == length
+
+    @pytest.mark.parametrize("factory", [
+        pytest.param(lambda: GsharePredictor(32, history_length=9),
+                     id="gshare"),
+        pytest.param(lambda: GhistPredictor(16, history_length=7),
+                     id="ghist"),
+    ])
+    @pytest.mark.parametrize("policy", list(ShiftPolicy),
+                             ids=[p.value for p in ShiftPolicy])
+    def test_folded_history(self, factory, policy, monkeypatch):
+        seed = derive_seed(79, "folded", policy.value)
+        hints = random_hints(seed, 0.3)
+        build = lambda: CombinedPredictor(  # noqa: E731
+            factory(), hints, shift_policy=policy)
+        self.assert_paths_agree(build, random_trace(seed, 1500), True,
+                                monkeypatch, warm_seed=seed + 1)
 
 
 class TestAccuracyBitIdentity:
@@ -163,16 +284,16 @@ class TestAccuracyBitIdentity:
         seed = derive_seed(4321, "accuracy", "counts")
         trace = random_trace(seed, 700)
         predictor = factory()
-        predictions = try_fast_predictions(trace, predictor, require=True)
-        assert predictions is not None
+        replay = try_fast_simulate(trace, predictor, require=True)
+        assert replay is not None
         _, outcomes = trace.arrays()
-        mispredicted = int(numpy.count_nonzero(predictions != outcomes))
+        mispredicted = int(numpy.count_nonzero(replay.predictions != outcomes))
         result = simulate(trace, factory(), kernel="reference")
         assert mispredicted == result.mispredictions
 
     def test_kernel_less_predictor_falls_back_to_the_loop(self):
         predictor = make_predictor("2bcgskew", 4096)
-        assert try_fast_predictions(random_trace(7, 50), predictor) is None
+        assert try_fast_simulate(random_trace(7, 50), predictor) is None
         trace = random_trace(8, 400)
         fast = measure_accuracy(trace, make_predictor("2bcgskew", 4096))
         reference = _measure_accuracy_scalar(
@@ -196,7 +317,6 @@ class TestDispatch:
     def test_unsupported_predictor_falls_back(self):
         trace = random_trace(7, 400)
         predictor = make_predictor("2bcgskew", 2048)
-        assert not has_fast_kernel(predictor)
         assert try_fast_simulate(trace, predictor) is None
         # kernel="fast" still runs (the knob requires numpy, not a
         # kernel for every family) and matches the reference loop.
@@ -213,16 +333,39 @@ class TestDispatch:
         result = simulate(trace, wide, kernel="auto")
         assert result.branches == 50
 
-    def test_collision_tracking_uses_reference_loop(self):
-        """track_collisions observes every lookup, so auto must not
-        shortcut — and both paths must report identical mispredictions."""
+    def test_collision_tracking_takes_fast_path(self, monkeypatch):
+        """track_collisions derives its counts from the replay, so auto
+        takes the kernel — and reports the untracked mispredictions."""
         trace = random_trace(13, 1200)
         plain = simulate(trace, GsharePredictor(128), kernel="auto")
+
+        def no_reference_loop(*args):
+            raise AssertionError("collision tracking left the fast path")
+
+        monkeypatch.setattr("repro.core.simulator._reference_loop",
+                            no_reference_loop)
         tracked = simulate(trace, GsharePredictor(128), kernel="auto",
                            track_collisions=True)
         assert tracked.mispredictions == plain.mispredictions
         assert tracked.collisions is not None
         assert plain.collisions is None
+
+    def test_combined_over_coupled_family_logs_its_fallback(self, caplog):
+        combined = CombinedPredictor(make_predictor("2bcgskew", 2048),
+                                     random_hints(3, 0.3))
+        with caplog.at_level(logging.DEBUG, logger="repro.kernels"):
+            assert try_fast_simulate(random_trace(7, 100), combined) is None
+        assert [r.getMessage() for r in caplog.records] \
+            == ["reference loop: no-kernel:2bcgskew"]
+
+    def test_over_limits_logs_its_fallback(self, caplog):
+        wide = BimodalPredictor(16, counter_bits=17)
+        with caplog.at_level(logging.DEBUG, logger="repro.kernels"):
+            result = simulate(random_trace(11, 50), wide, kernel="auto")
+        assert [r.getMessage() for r in caplog.records] \
+            == ["reference loop: over-limits"]
+        # The reason is observability only, never part of the result.
+        assert result.metadata == {}
 
 
 class TestWithoutNumpy:
@@ -255,6 +398,23 @@ class TestExperimentContext:
                 ctx.run("gcc", "gshare", 1024),
                 ctx.run("gcc", "bimodal", 1024, scheme="static_95"),
             ]
+        assert results["fast"] == results["reference"]
+
+    def test_figure_cells_identical_under_fast_and_reference(self):
+        """Every cell of figures 1, 2, 7 and 8 -- gshare with collision
+        tagging, and combined predictors over every family -- gives
+        the same result on the fast path as on the reference loop."""
+        from repro.experiments.registry import get_cells
+
+        results = {}
+        for kernel in ("fast", "reference"):
+            ctx = ExperimentContext(trace_length=1500, site_scale=0.02,
+                                    seed=5, kernel=kernel)
+            cells = {cell: None for figure in
+                     ("figure1", "figure2", "figure7", "figure8")
+                     for cell in get_cells(figure)(ctx)}
+            results[kernel] = [execute_cell(ctx, cell) for cell in cells]
+        assert len(results["fast"]) == 58
         assert results["fast"] == results["reference"]
 
     def test_kernel_knob_pickles(self):

@@ -431,6 +431,55 @@ class TestPredictorService:
             asyncio.run(wait_healthy("127.0.0.1", port,
                                      timeout_s=0.2, interval_s=0.05))
 
+    def test_shutdown_with_a_connected_client_exits_cleanly(self, tmp_path):
+        """A client still connected when another one sends ``shutdown``
+        must not leave its handler to be cancelled at event-loop
+        teardown: the server exits 0 with no traceback on stderr."""
+        import os
+        import re
+        import subprocess
+        import sys
+
+        import repro
+
+        env = {name: value for name, value in os.environ.items()
+               if not name.startswith("REPRO_")}
+        env.update(
+            PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)),
+            REPRO_TRACE_LENGTH="2000",
+            REPRO_EXPERIMENT_SITE_SCALE="0.02",
+        )
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--host", "127.0.0.1",
+             "--port", "0", "--no-cache", "--jobs", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env, cwd=tmp_path,
+        )
+
+        async def main(port):
+            _, idle = await asyncio.open_connection("127.0.0.1", port)
+            client = await ServiceClient.connect("127.0.0.1", port)
+            async with client:
+                await client.submit(dict(WIRE_CELL))
+                reply = await client.shutdown()
+                assert reply["type"] == "ok"
+                # Both connections stay open until the server is gone.
+                await asyncio.get_running_loop().run_in_executor(
+                    None, server.wait, 60)
+            idle.close()
+
+        try:
+            port = int(re.search(r":(\d+) with",
+                                 server.stdout.readline()).group(1))
+            asyncio.run(main(port))
+            _, stderr = server.communicate(timeout=60)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        assert server.returncode == 0
+        assert "Traceback" not in stderr, stderr
+
 
 class TestLoadgenReportMath:
     def test_percentile_interpolates(self):
