@@ -42,6 +42,7 @@ __all__ = [
     "WARMUP",
     "collision_cases",
     "combined_cases",
+    "coupled_cases",
     "end_to_end_cases",
     "kernel_cases",
     "profiling_cases",
@@ -107,6 +108,13 @@ def combined_cases(include_fast: bool | None = None) -> tuple[BenchCase, ...]:
     with collision tagging (the Figures 1-6 run).  Hint selection runs
     in the runner factory, outside the timed region."""
     return _pair("combined", "gshare", include_fast)
+
+
+def coupled_cases(include_fast: bool | None = None) -> tuple[BenchCase, ...]:
+    """The coupled-family pair: :func:`combined_cases` over 2bcgskew,
+    whose partial update couples its four banks, so the fast row is
+    the two-phase replay (numpy indices, then one counter loop)."""
+    return _pair("coupled", "2bcgskew", include_fast)
 
 
 def profiling_cases(include_fast: bool | None = None) -> tuple[BenchCase, ...]:
@@ -234,7 +242,7 @@ def _case_runner(case: BenchCase, ctx: ExperimentContext):
             simulate(pinned, predictor, kernel=case.kernel)
         return run
     trace = ctx.trace(_PROGRAM, _INPUT)
-    if case.name.startswith("combined/"):
+    if case.name.startswith(("combined/", "coupled/")):
         hints = ctx.hints(_PROGRAM, "static_acc", case.predictor,
                           case.size_bytes)
 
@@ -283,8 +291,9 @@ def run_suite(
     if repeats is None:
         repeats = QUICK_REPEATS if quick else DEFAULT_REPEATS
     ctx = ExperimentContext(trace_length=trace_length, kernel="auto")
-    cases = (kernel_cases() + combined_cases() + profiling_cases()
-             + collision_cases() + replay_cases() + service_cases())
+    cases = (kernel_cases() + combined_cases() + coupled_cases()
+             + profiling_cases() + collision_cases() + replay_cases()
+             + service_cases())
     if not quick:
         cases = cases + end_to_end_cases()
     results = []

@@ -203,9 +203,9 @@ def run_combined(
     """Phase two: measure the combined predictor on the measurement trace.
 
     ``kernel`` is passed through to :func:`simulate`: a combined
-    predictor over a kernel family (bimodal, gshare, ghist) replays as
-    a hint mask plus the family's kernel; over any other family it runs
-    the reference loop.
+    predictor over a kernel family (bimodal, gshare, ghist, bimode,
+    2bcgskew) replays as a hint mask plus the family's kernel; over a
+    family without one it runs the reference loop.
     """
     combined = CombinedPredictor(dynamic, hints, shift_policy=shift_policy)
     scheme = hints.scheme

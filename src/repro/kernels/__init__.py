@@ -3,9 +3,10 @@
 The reference simulation loop in :mod:`repro.core.simulator` calls
 ``predict``/``update`` once per branch; CPython method dispatch makes
 that the throughput ceiling of every experiment.  This package replays
-a whole :class:`~repro.workloads.trace.BranchTrace` through the hot
-predictor families in a handful of numpy array passes, under one
-non-negotiable contract:
+a whole :class:`~repro.workloads.trace.BranchTrace` through the
+predictor families behind the paper's figures -- bimodal, gshare,
+ghist, bi-mode and 2bcgskew -- computing every counter index in numpy
+array passes, under one non-negotiable contract:
 
 **A fast kernel is bit-identical to the reference loop.**  Same
 predictions, same final counter-table state, same history register,
@@ -28,8 +29,8 @@ Dispatch is by exact predictor type (subclasses may override
 ``"fast"``
     Like ``"auto"`` but a missing numpy is a
     :class:`~repro.errors.ConfigurationError` instead of a silent
-    fallback.  Predictors with no kernel (bimode, 2bcgskew, ...), bare
-    or combined, still use the reference loop.
+    fallback.  Predictors with no kernel (agree, yags, local,
+    tournament), bare or combined, still use the reference loop.
 ``"reference"``
     Always run the per-branch loop (the baseline the differential
     tests and `repro bench` compare against).
@@ -49,9 +50,11 @@ from repro.errors import ConfigurationError
 from repro.kernels import dynamic
 from repro.predictors.base import BranchPredictor
 from repro.predictors.bimodal import BimodalPredictor
+from repro.predictors.bimode import BiModePredictor
 from repro.predictors.collisions import CollisionCounts
 from repro.predictors.ghist import GhistPredictor
 from repro.predictors.gshare import GsharePredictor
+from repro.predictors.gskew import TwoBcGskewPredictor
 from repro.workloads.trace import BranchTrace
 
 __all__ = [
@@ -69,6 +72,8 @@ _KERNELS = {
     BimodalPredictor: dynamic.replay_bimodal,
     GsharePredictor: dynamic.replay_gshare,
     GhistPredictor: dynamic.replay_ghist,
+    BiModePredictor: dynamic.replay_bimode,
+    TwoBcGskewPredictor: dynamic.replay_2bcgskew,
 }
 
 logger = logging.getLogger(__name__)
@@ -95,9 +100,11 @@ def validate_kernel_mode(kernel: str) -> str:
 
 def _within_limits(predictor: BranchPredictor, trace: BranchTrace) -> bool:
     """Conservative numeric-headroom guards (see repro.kernels.dynamic)."""
-    if len(trace) >= dynamic.MAX_TRACE_LENGTH:
+    lookups = len(trace) * len(predictor.table_entry_counts())
+    if lookups >= dynamic.MAX_TRACE_LENGTH:
         return False
-    if predictor.table.bits > dynamic.MAX_COUNTER_BITS:
+    table = getattr(predictor, "table", None)
+    if table is not None and table.bits > dynamic.MAX_COUNTER_BITS:
         return False
     history = getattr(predictor, "history", None)
     if history is not None and history.length > dynamic.MAX_HISTORY_LENGTH:
@@ -114,6 +121,8 @@ class Replay:
     hint direction).  ``indices`` is the counter index of each *table
     event* -- each branch that looked up the dynamic table -- and
     ``events`` their trace positions, or ``None`` when every branch did.
+    A multi-bank family's ``indices`` is a ``(tables, events)`` array
+    of table-offset counter ids, one row per table each event reads.
     """
 
     addresses: Any
@@ -134,15 +143,22 @@ class Replay:
         the last branch using that counter": the previous table event on
         the same index, which a stable sort by index puts right before
         each event.  A collision is such a predecessor with a different
-        address."""
+        address.  Table-offset ids keep the banks' tags apart, so a
+        multi-bank run sorts all its lookups at once; a lookup's
+        position in the raveled rows, modulo the event count, is its
+        event."""
         import numpy
 
-        order = numpy.argsort(self.indices, kind="stable").astype(numpy.int32)
-        sorted_indices = self.indices[order]
+        indices = self.indices.ravel()
+        order = numpy.argsort(indices, kind="stable").astype(numpy.int32)
+        sorted_indices = indices[order]
         same = sorted_indices[1:] == sorted_indices[:-1]
         victims = order[1:][same]
         aggressors = order[:-1][same]
         del order, sorted_indices, same
+        if self.indices.ndim > 1:
+            victims %= self.indices.shape[1]
+            aggressors %= self.indices.shape[1]
         if self.events is not None:
             victims = self.events[victims]
             aggressors = self.events[aggressors]
@@ -159,7 +175,7 @@ class Replay:
         constructive = int(numpy.count_nonzero(
             self.predictions[victims] == self.outcomes[victims]))
         return CollisionCounts(
-            lookups=int(self.indices.shape[0]),
+            lookups=int(self.indices.size),
             collisions=collisions,
             constructive=constructive,
             destructive=collisions - constructive,

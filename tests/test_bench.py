@@ -9,6 +9,7 @@ import pytest
 from repro.bench.cases import (
     collision_cases,
     combined_cases,
+    coupled_cases,
     kernel_cases,
     profiling_cases,
     replay_cases,
@@ -157,6 +158,15 @@ class TestSuite:
         without = [case.name for case in combined_cases(include_fast=False)]
         assert without == ["combined/reference"]
 
+    def test_coupled_cases_pair_reference_and_fast(self):
+        cases = coupled_cases(include_fast=True)
+        assert [case.name for case in cases] \
+            == ["coupled/reference", "coupled/fast"]
+        assert all(case.predictor == "2bcgskew" and not case.end_to_end
+                   for case in cases)
+        without = [case.name for case in coupled_cases(include_fast=False)]
+        assert without == ["coupled/reference"]
+
     def test_replay_cases_pure_simulation(self):
         names = [case.name for case in replay_cases()]
         assert names == ["replay/gshare"]
@@ -168,6 +178,7 @@ class TestSuite:
         assert "bimodal/reference" in cases
         assert "profile/reference" in cases
         assert "combined/fast" in cases
+        assert {"coupled/reference", "coupled/fast"} <= cases
         assert "replay/gshare" in cases
         assert "service/roundtrip" in cases
         assert all(entry.median_s > 0.0 for entry in snap.results)

@@ -2,10 +2,10 @@
 
 The contract of :mod:`repro.kernels` is bit-identity with the
 reference ``predict``/``update`` loop: same misprediction count, same
-final counter table, same history register, same ``_last_index``.
+final counter tables, same history register, same ``_PREDICT_STATE``.
 These tests enforce it differentially — every assertion runs the same
 randomized trace through both paths and compares the complete
-observable state, across the three kernel-backed predictor families,
+observable state, across the five kernel-backed predictor families,
 bare and under a combined predictor with every history-shift policy,
 with and without collision tagging, cold and warm starts, and the
 degenerate trace lengths.
@@ -35,8 +35,10 @@ from repro.profiling.collision_profile import (
     measure_collision_involvement,
 )
 from repro.predictors.bimodal import BimodalPredictor
+from repro.predictors.bimode import BiModePredictor
 from repro.predictors.ghist import GhistPredictor
 from repro.predictors.gshare import GsharePredictor
+from repro.predictors.gskew import TwoBcGskewPredictor
 from repro.predictors.sizing import make_predictor
 from repro.runner.cells import execute_cell
 from repro.staticpred.hints import HintAssignment, HintBits
@@ -80,12 +82,27 @@ def warm_up(predictor, seed: int, length: int = 200) -> None:
     simulate(random_trace(seed, length), predictor, kernel="reference")
 
 
+def counter_tables(predictor) -> list:
+    """A kernel-backed family's counter tables, in table-id order."""
+    if isinstance(predictor, BiModePredictor):
+        return [*predictor.direction_banks, predictor.choice]
+    if isinstance(predictor, TwoBcGskewPredictor):
+        return list(predictor.banks)
+    return [predictor.table]
+
+
 def observable_state(predictor) -> dict:
-    """Everything the bit-identity contract covers, as plain data."""
-    state = {
-        "table": list(predictor.table.values),
-        "last_index": predictor._last_index,
-    }
+    """Everything the bit-identity contract covers, as plain data: every
+    counter table and bank, the history register, and each
+    ``_PREDICT_STATE`` field with its type (plus 2bcgskew's cached
+    lookup indices)."""
+    tables = counter_tables(predictor)
+    assert len(tables) == len(predictor.table_entry_counts())
+    state = {"tables": [list(table.values) for table in tables]}
+    for name in (*type(predictor)._PREDICT_STATE, "_idx"):
+        if hasattr(predictor, name):
+            value = getattr(predictor, name)
+            state[name] = (type(value), value)
     history = getattr(predictor, "history", None)
     if history is not None:
         state["history"] = history.value
@@ -122,6 +139,22 @@ FAMILIES = [
     pytest.param(lambda: GhistPredictor(128), id="ghist-128"),
     pytest.param(lambda: GhistPredictor(64, history_length=12),
                  id="ghist-64-folded"),
+    pytest.param(lambda: BiModePredictor(64, 32), id="bimode-64x32"),
+    pytest.param(lambda: BiModePredictor(16, 64, history_length=8),
+                 id="bimode-16-folded"),
+    pytest.param(lambda: TwoBcGskewPredictor(64), id="2bcgskew-64"),
+    pytest.param(lambda: TwoBcGskewPredictor(32, g0_history=0,
+                                             g1_history=3, meta_history=5),
+                 id="2bcgskew-32-h0"),
+    # 16 KiB: bank indices are int16 while the table-offset ids are
+    # uint16 (2E + C and 4E are exactly 2**16).
+    pytest.param(lambda: make_predictor("bimode", 16 * 1024),
+                 id="bimode-16KiB"),
+    pytest.param(lambda: make_predictor("2bcgskew", 16 * 1024),
+                 id="2bcgskew-16KiB"),
+    # The coupled loop steps Python ints: no counter-width bound.
+    pytest.param(lambda: BiModePredictor(32, 16, counter_bits=20),
+                 id="bimode-32x20"),
 ]
 
 LENGTHS = [0, 1, 2, 3, 17, 500, 4096]
@@ -153,7 +186,7 @@ class TestBitIdentity:
         assert observable_state(fast) == observable_state(reference)
 
     def test_simulate_fast_equals_reference_result(self, gcc_trace):
-        for name in ("bimodal", "gshare", "ghist"):
+        for name in ("bimodal", "gshare", "ghist", "bimode", "2bcgskew"):
             fast = simulate(gcc_trace, make_predictor(name, 2048),
                             kernel="fast")
             reference = simulate(gcc_trace, make_predictor(name, 2048),
@@ -172,6 +205,8 @@ class TestCombinedBitIdentity:
                      id="gshare"),
         pytest.param(lambda: GhistPredictor(32, history_length=5),
                      id="ghist"),
+        pytest.param(lambda: BiModePredictor(64, 32), id="bimode"),
+        pytest.param(lambda: TwoBcGskewPredictor(64), id="2bcgskew"),
     ]
 
     @staticmethod
@@ -241,7 +276,8 @@ class TestCombinedBitIdentity:
         if static_fraction == 1.0:
             assert result.collisions.lookups == 0
         elif static_fraction == 0.0:
-            assert result.collisions.lookups == length
+            tables = len(factory().accessed())
+            assert result.collisions.lookups == length * tables
 
     @pytest.mark.parametrize("factory", [
         pytest.param(lambda: GsharePredictor(32, history_length=9),
@@ -256,6 +292,46 @@ class TestCombinedBitIdentity:
         hints = random_hints(seed, 0.3)
         build = lambda: CombinedPredictor(  # noqa: E731
             factory(), hints, shift_policy=policy)
+        self.assert_paths_agree(build, random_trace(seed, 1500), True,
+                                monkeypatch, warm_seed=seed + 1)
+
+    @pytest.mark.parametrize("factory", [
+        pytest.param(lambda: BiModePredictor(16, 64, history_length=8),
+                     id="bimode-folded"),
+        pytest.param(lambda: BiModePredictor(1 << 16, 256,
+                                             history_length=31),
+                     id="bimode-31-bit-history"),
+        pytest.param(lambda: BiModePredictor(1 << 16, 1024,
+                                             history_length=32),
+                     id="bimode-32-bit-history"),
+        pytest.param(lambda: TwoBcGskewPredictor(
+            32, g0_history=0, g1_history=3, meta_history=5),
+            id="2bcgskew-g0-0"),
+        pytest.param(lambda: TwoBcGskewPredictor(
+            64, g0_history=6, g1_history=0, meta_history=0),
+            id="2bcgskew-g1-meta-0"),
+        pytest.param(lambda: TwoBcGskewPredictor(
+            8, g0_history=0, g1_history=0, meta_history=0),
+            id="2bcgskew-all-0"),
+        pytest.param(lambda: TwoBcGskewPredictor(
+            16, g0_history=4, g1_history=4, meta_history=4),
+            id="2bcgskew-full-width"),
+    ])
+    @pytest.mark.parametrize("policy", [None, *ShiftPolicy],
+                             ids=["plain", *(f"combined-{p.value}"
+                                             for p in ShiftPolicy)])
+    def test_coupled_history_shapes(self, factory, policy, monkeypatch):
+        """Bi-mode registers wider than the bank (folded, and past the
+        30 bits the int32 windows hold); 2bcgskew bank histories of
+        every length down to zero."""
+        seed = derive_seed(80, "coupled", str(policy))
+        hints = random_hints(seed, 0.3)
+
+        def build():
+            if policy is None:
+                return factory()
+            return CombinedPredictor(factory(), hints, shift_policy=policy)
+
         self.assert_paths_agree(build, random_trace(seed, 1500), True,
                                 monkeypatch, warm_seed=seed + 1)
 
@@ -292,12 +368,12 @@ class TestAccuracyBitIdentity:
         assert mispredicted == result.mispredictions
 
     def test_kernel_less_predictor_falls_back_to_the_loop(self):
-        predictor = make_predictor("2bcgskew", 4096)
+        predictor = make_predictor("yags", 4096)
         assert try_fast_simulate(random_trace(7, 50), predictor) is None
         trace = random_trace(8, 400)
-        fast = measure_accuracy(trace, make_predictor("2bcgskew", 4096))
+        fast = measure_accuracy(trace, make_predictor("yags", 4096))
         reference = _measure_accuracy_scalar(
-            trace, make_predictor("2bcgskew", 4096)
+            trace, make_predictor("yags", 4096)
         )
         assert fast.to_json() == reference.to_json()
 
@@ -316,13 +392,13 @@ class TestDispatch:
 
     def test_unsupported_predictor_falls_back(self):
         trace = random_trace(7, 400)
-        predictor = make_predictor("2bcgskew", 2048)
+        predictor = make_predictor("agree", 2048)
         assert try_fast_simulate(trace, predictor) is None
         # kernel="fast" still runs (the knob requires numpy, not a
         # kernel for every family) and matches the reference loop.
-        fast = simulate(trace, make_predictor("2bcgskew", 2048),
+        fast = simulate(trace, make_predictor("agree", 2048),
                         kernel="fast")
-        reference = simulate(trace, make_predictor("2bcgskew", 2048),
+        reference = simulate(trace, make_predictor("agree", 2048),
                              kernel="reference")
         assert fast == reference
 
@@ -351,12 +427,12 @@ class TestDispatch:
         assert plain.collisions is None
 
     def test_combined_over_coupled_family_logs_its_fallback(self, caplog):
-        combined = CombinedPredictor(make_predictor("2bcgskew", 2048),
+        combined = CombinedPredictor(make_predictor("yags", 2048),
                                      random_hints(3, 0.3))
         with caplog.at_level(logging.DEBUG, logger="repro.kernels"):
             assert try_fast_simulate(random_trace(7, 100), combined) is None
         assert [r.getMessage() for r in caplog.records] \
-            == ["reference loop: no-kernel:2bcgskew"]
+            == ["reference loop: no-kernel:yags"]
 
     def test_over_limits_logs_its_fallback(self, caplog):
         wide = BimodalPredictor(16, counter_bits=17)
@@ -400,14 +476,27 @@ class TestExperimentContext:
             ]
         assert results["fast"] == results["reference"]
 
-    def test_figure_cells_identical_under_fast_and_reference(self):
+    def test_figure_cells_identical_under_fast_and_reference(
+            self, monkeypatch):
         """Every cell of figures 1, 2, 7 and 8 -- gshare with collision
-        tagging, and combined predictors over every family -- gives
-        the same result on the fast path as on the reference loop."""
+        tagging, and combined predictors over every family -- reaches a
+        kernel (every scalar loop raises on the fast side) and gives
+        the same result as on the reference loop."""
         from repro.experiments.registry import get_cells
 
+        def scalar_loop(*args):
+            raise AssertionError("a figure cell left the fast path")
+
         results = {}
-        for kernel in ("fast", "reference"):
+        for kernel in ("reference", "fast"):
+            if kernel == "fast":
+                for name in (
+                    "repro.core.simulator._reference_loop",
+                    "repro.profiling.accuracy._measure_accuracy_scalar",
+                    "repro.profiling.collision_profile."
+                    "_measure_collision_involvement_scalar",
+                ):
+                    monkeypatch.setattr(name, scalar_loop)
             ctx = ExperimentContext(trace_length=1500, site_scale=0.02,
                                     seed=5, kernel=kernel)
             cells = {cell: None for figure in
@@ -441,6 +530,8 @@ class TestCollisionVectorization:
         lambda: BimodalPredictor(64),
         lambda: GsharePredictor(64, history_length=5),
         lambda: GhistPredictor(64, history_length=6),
+        lambda: BiModePredictor(64, 32),
+        lambda: TwoBcGskewPredictor(64),
     ]
 
     @staticmethod
@@ -470,11 +561,11 @@ class TestCollisionVectorization:
 
     def test_kernel_less_predictor_falls_back(self):
         trace = random_trace(derive_seed(99, "collisions", "fallback"), 300)
-        predictor = make_predictor("2bcgskew", 2048)
+        predictor = make_predictor("yags", 2048)
         assert _fast_collision_records(trace, predictor) is None
         profile = measure_collision_involvement(trace, predictor)
         scalar = _measure_collision_involvement_scalar(
-            trace, make_predictor("2bcgskew", 2048))
+            trace, make_predictor("yags", 2048))
         assert self.as_plain(profile) == self.as_plain(scalar)
 
     def test_out_of_limits_predictor_falls_back(self):
@@ -494,3 +585,15 @@ class TestCollisionVectorization:
                                                        GsharePredictor(256))
         assert self.as_plain(fast) == self.as_plain(scalar)
         assert fast.total_destructive == scalar.total_destructive
+
+    @pytest.mark.parametrize("name", ["bimode", "2bcgskew"])
+    def test_gcc_trace_coupled_families(self, name, gcc_trace):
+        """Multi-bank lookups: each bank keeps its own tags, and one
+        branch may collide in several banks at once."""
+        records = _fast_collision_records(gcc_trace,
+                                          make_predictor(name, 1024))
+        assert records is not None
+        scalar = _measure_collision_involvement_scalar(
+            gcc_trace, make_predictor(name, 1024))
+        assert [(a, r.executions, r.destructive, r.constructive)
+                for a, r in records.items()] == self.as_plain(scalar)
