@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.errors import ReproError
 from repro.profiling.accuracy import AccuracyProfile
 from repro.profiling.profile import ProgramProfile
 
@@ -101,6 +102,32 @@ class ClassBreakdown:
         if total == 0:
             return 0.0
         return self.stats(bias_class).executions / total
+
+    def to_dict(self) -> dict:
+        """JSON-safe form; classes keep their insertion order."""
+        return {
+            "program_name": self.program_name,
+            "classes": [
+                [bias_class.value, stats.static_branches, stats.executions,
+                 stats.predictor_correct, stats.predictor_measured]
+                for bias_class, stats in self.classes.items()
+            ],
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ClassBreakdown":
+        """Inverse of :meth:`to_dict`; raises ReproError when malformed."""
+        try:
+            return cls(data["program_name"], {
+                BiasClass(name): ClassStats(static, executions, correct,
+                                            measured)
+                for name, static, executions, correct, measured
+                in data["classes"]
+            })
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ReproError(
+                f"malformed ClassBreakdown payload: {exc}"
+            ) from exc
 
     def highly_biased_dynamic_fraction(self) -> float:
         """Table 2's quantity, via the classification (bias >= 95%).

@@ -1,35 +1,61 @@
 """Extra reportable experiments beyond the paper's tables and figures.
 
-* :func:`run_pipeline_impact` -- the paper's introduction in numbers:
-  convert each program's MISP/KI improvement under static hints into an
-  IPC delta with the trace-driven front-end model, at a shallow and a
-  deep pipeline ("as processor pipelines get increasingly deeper this
-  performance degradation is becoming increasingly significant").
-* :func:`run_classification` -- the Chang-style class breakdown per
-  program with per-class bimodal and gshare accuracy, the view that
-  explains *why* Static_95 complements some predictors and duplicates
-  others.
+* :func:`run_pipeline_impact` (``frontend`` cells) -- the paper's
+  introduction in numbers: convert each program's MISP/KI improvement
+  under static hints into an IPC delta with the trace-driven front-end
+  model, at a shallow and a deep pipeline ("as processor pipelines get
+  increasingly deeper this performance degradation is becoming
+  increasingly significant").
+* :func:`run_classification` (``classify`` cells) -- the Chang-style
+  class breakdown per program with per-class bimodal and gshare
+  accuracy, the view that explains *why* Static_95 complements some
+  predictors and duplicates others.
 """
 
 from __future__ import annotations
 
-from repro.analysis.classification import BiasClass, classify_branches
-from repro.core.combined import CombinedPredictor
+from repro.analysis.classification import BiasClass
+# Re-exported: span tracers (perfbench/tracing.py) patch this name.  The
+# classify cells themselves run in repro.runner.cells.
+from repro.analysis.classification import classify_branches  # noqa: F401
 from repro.experiments.common import KIB, PROGRAMS, ExperimentContext
 from repro.experiments.report import ExperimentReport
-from repro.pipeline.frontend import FrontEndSimulator
-from repro.predictors.sizing import make_predictor
+from repro.runner import CLASSIFY, FRONTEND, Cell, execute_cells
 
-__all__ = ["run_pipeline_impact", "run_classification"]
+__all__ = [
+    "run_pipeline_impact", "cells_pipeline_impact",
+    "synthesize_pipeline_impact", "run_classification",
+    "cells_classification", "synthesize_classification",
+]
 
 PIPELINE_PREDICTOR = "gshare"
 PIPELINE_SIZE = 4 * KIB
-PIPELINE_DEPTHS = (7, 20)
-"""Redirect penalties: Alpha-21264-class and deep-modern-class."""
+CLASSIFICATION_PREDICTORS = ("bimodal", "gshare")
+CLASSIFICATION_SIZE = 8 * KIB
+
+
+def _frontend_cell(program: str) -> Cell:
+    return Cell.make(program, PIPELINE_PREDICTOR, PIPELINE_SIZE,
+                     scheme="static_acc", kind=FRONTEND)
+
+
+def cells_pipeline_impact(ctx: ExperimentContext) -> list[Cell]:
+    """One frontend cell per program; its hints come through the hint
+    cache the figure cells share."""
+    return [_frontend_cell(program) for program in PROGRAMS]
 
 
 def run_pipeline_impact(ctx: ExperimentContext) -> ExperimentReport:
     """IPC effect of static hints at two pipeline depths."""
+    return synthesize_pipeline_impact(
+        ctx, execute_cells(ctx, cells_pipeline_impact(ctx))
+    )
+
+
+def synthesize_pipeline_impact(
+    ctx: ExperimentContext, results: dict
+) -> ExperimentReport:
+    """Build the pipeline-impact report from the frontend cells."""
     report = ExperimentReport(
         experiment_id="pipeline-impact",
         title="Front-end IPC impact of static hints "
@@ -41,24 +67,9 @@ def run_pipeline_impact(ctx: ExperimentContext) -> ExperimentReport:
          "speedup", "redirect overhead dyn -> static"],
     )
     for program in PROGRAMS:
-        trace = ctx.trace(program, "ref")
-        hints = ctx.hints(program, "static_acc",
-                          predictor_name=PIPELINE_PREDICTOR,
-                          size_bytes=PIPELINE_SIZE)
         report.data[program] = {}
-        for penalty in PIPELINE_DEPTHS:
-            frontend = FrontEndSimulator(fetch_width=4,
-                                         redirect_penalty=penalty,
-                                         taken_bubble=1)
-            base = frontend.run(
-                trace, make_predictor(PIPELINE_PREDICTOR, PIPELINE_SIZE)
-            )
-            combined = frontend.run(
-                trace,
-                CombinedPredictor(
-                    make_predictor(PIPELINE_PREDICTOR, PIPELINE_SIZE), hints
-                ),
-            )
+        runs = results[_frontend_cell(program)].runs
+        for penalty, (base, combined) in runs.items():
             speedup = base.cycles / combined.cycles if combined.cycles else 1.0
             table.rows.append(
                 [
@@ -80,20 +91,36 @@ def run_pipeline_impact(ctx: ExperimentContext) -> ExperimentReport:
     return report
 
 
+def _classify_cell(program: str, predictor: str) -> Cell:
+    return Cell.make(program, predictor, CLASSIFICATION_SIZE, kind=CLASSIFY)
+
+
+def cells_classification(ctx: ExperimentContext) -> list[Cell]:
+    """One classify cell per (program, predictor)."""
+    return [_classify_cell(program, predictor) for program in PROGRAMS
+            for predictor in CLASSIFICATION_PREDICTORS]
+
+
 def run_classification(ctx: ExperimentContext) -> ExperimentReport:
     """Chang-style class breakdown with per-class predictor accuracy."""
+    return synthesize_classification(
+        ctx, execute_cells(ctx, cells_classification(ctx))
+    )
+
+
+def synthesize_classification(
+    ctx: ExperimentContext, results: dict
+) -> ExperimentReport:
+    """Build the classification report from the classify cells."""
     report = ExperimentReport(
         experiment_id="classification",
         title="Branch classification by bias, with per-class accuracy "
               "(Chang et al., basis of Static_95)",
     )
-    size = 8 * KIB
+    size = CLASSIFICATION_SIZE
     for program in PROGRAMS:
-        profile = ctx.profile(program, "ref")
-        bimodal = ctx.accuracy(program, "bimodal", size)
-        gshare = ctx.accuracy(program, "gshare", size)
-        by_bimodal = classify_branches(profile, bimodal)
-        by_gshare = classify_branches(profile, gshare)
+        by_bimodal = results[_classify_cell(program, "bimodal")]
+        by_gshare = results[_classify_cell(program, "gshare")]
         table = report.add_table(
             f"{program}: class breakdown (accuracy at {size // KIB}KB)",
             ["class", "static branches", "dynamic share",

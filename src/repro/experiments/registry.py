@@ -5,13 +5,14 @@ Ids follow the paper: ``table1`` .. ``table5``, ``figure1`` ..
 per-program scheme comparisons), plus the grouped ids ``figures1-6`` and
 ``figures7-12`` and the ``ablations`` extras.
 
-Simulation-shaped experiments additionally register a *cell provider*
-(their declared :class:`~repro.runner.cells.Cell` list) and a
-*synthesizer* (report construction from executed results); the parallel
-runner (``repro run``) uses those to merge, deduplicate, and schedule
-cells across every requested experiment at once.  Profiling-only
-experiments (``table1``, ``table5``) and aggregates over other runners
-(``summary``) have no cells and fall back to their serial runner.
+Every experiment additionally registers a *cell provider* (its declared
+:class:`~repro.runner.cells.Cell` list) and a *synthesizer* (report
+construction from executed results); the parallel runner (``repro run``)
+uses those to merge, deduplicate, and schedule cells across every
+requested experiment at once.  Profiling experiments (``table1``,
+``table5``, ``classification``, ``pipeline-impact``) declare cells of
+the profiling kinds, and ``summary`` declares the union of its members'
+cells, so every id is cached and pooled the same way.
 """
 
 from __future__ import annotations
@@ -80,12 +81,13 @@ _RUNNERS: dict[str, Runner] = {
     "summary": summary.run_all,
 }
 
-#: Cell provider + synthesizer per simulation-shaped experiment id.
-#: Ids absent here run through their serial runner only.
+#: Cell provider + synthesizer per experiment id (every id has one).
 _CELL_RUNNERS: dict[str, tuple[CellProvider, Synthesizer]] = {
+    "table1": (table1.cells, table1.synthesize),
     "table2": (table2.cells, table2.synthesize),
     "table3": (table3.cells, table3.synthesize),
     "table4": (table4.cells, table4.synthesize),
+    "table5": (table5.cells, table5.synthesize),
     "figures1-6": (figures_gshare.cells, figures_gshare.synthesize),
     "figures7-12": (figures_schemes.cells, figures_schemes.synthesize),
     "figure13": (figure13.cells, figure13.synthesize),
@@ -94,6 +96,11 @@ _CELL_RUNNERS: dict[str, tuple[CellProvider, Synthesizer]] = {
     "ablation-cutoff": (ablations.cells_cutoff, ablations.synthesize_cutoff),
     "ablation-history": (ablations.cells_history, ablations.synthesize_history),
     "ablation-selection": (ablations.cells_shootout, ablations.synthesize_shootout),
+    "pipeline-impact": (extras.cells_pipeline_impact,
+                        extras.synthesize_pipeline_impact),
+    "classification": (extras.cells_classification,
+                       extras.synthesize_classification),
+    "summary": (summary.cells, summary.synthesize),
 }
 
 for _i, _program in enumerate(PROGRAMS):
@@ -132,27 +139,19 @@ def get_experiment(experiment_id: str) -> Runner:
         ) from None
 
 
-def get_cells(experiment_id: str) -> CellProvider | None:
-    """The cell provider for an id, or ``None`` if it is not cell-shaped.
-
-    Raises on unknown ids (same contract as :func:`get_experiment`).
-    """
+def get_cells(experiment_id: str) -> CellProvider:
+    """The cell provider for an id; raises on unknown ids (same contract
+    as :func:`get_experiment`)."""
     get_experiment(experiment_id)  # id validation
-    entry = _CELL_RUNNERS.get(experiment_id)
-    return entry[0] if entry is not None else None
+    return _CELL_RUNNERS[experiment_id][0]
 
 
 def synthesize(
     experiment_id: str, ctx: ExperimentContext, results: dict
 ) -> ExperimentReport:
     """Build an experiment's report from already-executed cell results."""
-    entry = _CELL_RUNNERS.get(experiment_id)
-    if entry is None:
-        raise ExperimentError(
-            f"experiment {experiment_id!r} declares no cells; "
-            "use run_experiment instead"
-        )
-    return entry[1](ctx, results)
+    get_experiment(experiment_id)  # id validation
+    return _CELL_RUNNERS[experiment_id][1](ctx, results)
 
 
 def run_experiment(

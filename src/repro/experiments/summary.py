@@ -1,12 +1,14 @@
 """Run every experiment and consolidate the paper-vs-measured record.
 
-``run_all`` executes each registered table/figure experiment against one
-shared context and returns the individual reports plus a consolidated
-summary report whose rows match the EXPERIMENTS.md ledger: experiment id,
-the paper's headline claim, and the measured headline number.
+The summary's cells are the union of its members' cells, and its
+synthesizer calls theirs: one pass over the shared results yields the
+individual reports plus a consolidated summary report whose rows match
+the EXPERIMENTS.md ledger: experiment id, the paper's headline claim,
+and the measured headline number.
 
-The CLI exposes it as ``repro experiment summary`` -- the one-command
-regeneration of the whole evaluation section.
+The CLI exposes it as ``repro run summary`` (or, serially, ``repro
+experiment summary``) -- the one-command regeneration of the whole
+evaluation section.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from repro.experiments import (
 )
 from repro.experiments.common import PROGRAMS, ExperimentContext
 from repro.experiments.report import ExperimentReport
+from repro.runner import Cell, execute_cells
 
-__all__ = ["run_all"]
+__all__ = ["run_all", "cells", "synthesize"]
 
 
 def _gshare_headline(report: ExperimentReport) -> tuple[float, float]:
@@ -36,8 +39,24 @@ def _gshare_headline(report: ExperimentReport) -> tuple[float, float]:
     return max(gains), min(gains)
 
 
+def cells(ctx: ExperimentContext) -> list[Cell]:
+    """The union of every member experiment's cells."""
+    members = (
+        table1.cells(ctx) + table2.cells(ctx) + figures_gshare.cells(ctx)
+        + figures_schemes.cells(ctx) + table3.cells(ctx) + table4.cells(ctx)
+        + table5.cells(ctx) + figure13.cells(ctx)
+        + ablations.cells_shootout(ctx)
+    )
+    return list(dict.fromkeys(members))
+
+
 def run_all(ctx: ExperimentContext) -> ExperimentReport:
     """Execute the full evaluation and produce the consolidated summary."""
+    return synthesize(ctx, execute_cells(ctx, cells(ctx)))
+
+
+def synthesize(ctx: ExperimentContext, results: dict) -> ExperimentReport:
+    """Build every member report, and the ledger over them."""
     summary = ExperimentReport(
         experiment_id="summary",
         title="Consolidated paper-vs-measured summary (all tables & figures)",
@@ -48,7 +67,7 @@ def run_all(ctx: ExperimentContext) -> ExperimentReport:
     )
 
     # Table 1 -- branch densities.
-    t1 = table1.run(ctx)
+    t1 = table1.synthesize(ctx, results)
     gcc_row = next(row for row in t1.tables[0].rows if row[0] == "gcc")
     ledger.rows.append([
         "table1",
@@ -58,7 +77,7 @@ def run_all(ctx: ExperimentContext) -> ExperimentReport:
     summary.data["table1"] = t1
 
     # Table 2 -- bias/accuracy correlation.
-    t2 = table2.run(ctx)
+    t2 = table2.synthesize(ctx, results)
     accuracy = t2.data["accuracy"]
     ledger.rows.append([
         "table2",
@@ -70,7 +89,7 @@ def run_all(ctx: ExperimentContext) -> ExperimentReport:
 
     # Figures 1-6 -- gshare sweeps.
     for program in PROGRAMS:
-        report = figures_gshare.run_program(ctx, program)
+        report = figures_gshare.synthesize_program(ctx, program, results)
         best, worst = _gshare_headline(report)
         ledger.rows.append([
             report.experiment_id,
@@ -81,7 +100,7 @@ def run_all(ctx: ExperimentContext) -> ExperimentReport:
 
     # Figures 7-12 -- scheme panels.
     for program in PROGRAMS:
-        report = figures_schemes.run_program(ctx, program)
+        report = figures_schemes.synthesize_program(ctx, program, results)
         misp = report.data["misp"]
         ghist_gain = 0.0
         if misp["ghist"]["none"]:
@@ -97,7 +116,7 @@ def run_all(ctx: ExperimentContext) -> ExperimentReport:
         summary.data[report.experiment_id] = report
 
     # Table 3 -- 2bcgskew improvements.
-    t3 = table3.run(ctx)
+    t3 = table3.synthesize(ctx, results)
     ledger.rows.append([
         "table3",
         "2bcgskew gains shrink with size; gcc +13-14% at 2KB",
@@ -107,7 +126,7 @@ def run_all(ctx: ExperimentContext) -> ExperimentReport:
     summary.data["table3"] = t3
 
     # Table 4 -- the shift knob.
-    t4 = table4.run(ctx)
+    t4 = table4.synthesize(ctx, results)
     improvements = t4.data["improvements"]
     rescued = sum(
         1 for cell in improvements.values()
@@ -125,7 +144,7 @@ def run_all(ctx: ExperimentContext) -> ExperimentReport:
     summary.data["table4"] = t4
 
     # Table 5 -- drift.
-    t5 = table5.run(ctx)
+    t5 = table5.synthesize(ctx, results)
     coverages = {p: t5.data[p].coverage_static for p in PROGRAMS}
     ledger.rows.append([
         "table5",
@@ -136,7 +155,7 @@ def run_all(ctx: ExperimentContext) -> ExperimentReport:
     summary.data["table5"] = t5
 
     # Figure 13 -- cross-training.
-    f13 = figure13.run(ctx)
+    f13 = figure13.synthesize(ctx, results)
     misp13 = f13.data["misp"]
     perl = misp13["perl"]
     ledger.rows.append([
@@ -148,7 +167,7 @@ def run_all(ctx: ExperimentContext) -> ExperimentReport:
     summary.data["figure13"] = f13
 
     # Ablations.
-    shootout = ablations.run_selection_shootout(ctx)
+    shootout = ablations.synthesize_shootout(ctx, results)
     gcc_shootout = shootout.data["gcc"]
     ledger.rows.append([
         "ablation-selection",

@@ -12,14 +12,38 @@ from __future__ import annotations
 
 from repro.experiments.common import PROGRAMS, ExperimentContext
 from repro.experiments.report import ExperimentReport
+from repro.runner import CHARACTERIZE, Cell, execute_cells
 from repro.workloads.spec95 import get_spec
-from repro.workloads.stats import characterize
+from repro.workloads.stats import TraceSummary
+# Re-exported: span tracers (perfbench/tracing.py) patch this name.  The
+# characterize cells themselves run in repro.runner.cells.
+from repro.workloads.stats import characterize  # noqa: F401
 
-__all__ = ["run"]
+__all__ = ["run", "cells", "synthesize", "characterization_cell"]
+
+INPUTS = ("train", "ref")
+
+
+def characterization_cell(program: str, input_name: str = "ref") -> Cell:
+    """The cell that characterizes one program's trace for one input."""
+    return Cell.profiling(CHARACTERIZE, program, measure_input=input_name)
+
+
+def cells(ctx: ExperimentContext) -> list[Cell]:
+    """Declared cell list: every program's train and ref trace."""
+    return [characterization_cell(program, input_name)
+            for program in PROGRAMS for input_name in INPUTS]
 
 
 def run(ctx: ExperimentContext) -> ExperimentReport:
     """Regenerate Table 1 from the synthetic workloads."""
+    return synthesize(ctx, execute_cells(ctx, cells(ctx)))
+
+
+def synthesize(
+    ctx: ExperimentContext, results: dict[Cell, TraceSummary]
+) -> ExperimentReport:
+    """Build Table 1 from the characterization cells."""
     report = ExperimentReport(
         experiment_id="table1",
         title="Test program characteristics (paper Table 1)",
@@ -40,8 +64,8 @@ def run(ctx: ExperimentContext) -> ExperimentReport:
     )
     for program in PROGRAMS:
         spec = get_spec(program)
-        train = characterize(ctx.trace(program, "train"))
-        ref = characterize(ctx.trace(program, "ref"))
+        train = results[characterization_cell(program, "train")]
+        ref = results[characterization_cell(program, "ref")]
         table.rows.append(
             [
                 program,

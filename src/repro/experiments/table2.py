@@ -12,13 +12,12 @@ different principles.
 
 from __future__ import annotations
 
-from repro.core.metrics import SimulationResult
 from repro.experiments.common import KIB, PROGRAMS, ExperimentContext
 from repro.experiments.report import ExperimentReport
+from repro.experiments.table1 import characterization_cell
 from repro.runner import Cell, execute_cells
 from repro.utils.tables import format_percent
 from repro.workloads.spec95 import get_spec
-from repro.workloads.stats import dynamic_highly_biased_fraction
 
 __all__ = ["run", "cells", "synthesize", "PREDICTORS", "PREDICTOR_SIZE"]
 
@@ -27,9 +26,12 @@ PREDICTOR_SIZE = 8 * KIB
 
 
 def cells(ctx: ExperimentContext) -> list[Cell]:
-    """Declared cell list: every (program, predictor) at 8 Kbytes."""
+    """Declared cell list: every (program, predictor) at 8 Kbytes, plus
+    each program's ref characterization (the biased fraction)."""
     return [Cell.make(program, predictor, PREDICTOR_SIZE)
-            for program in PROGRAMS for predictor in PREDICTORS]
+            for program in PROGRAMS for predictor in PREDICTORS] + [
+        characterization_cell(program) for program in PROGRAMS
+    ]
 
 
 def run(ctx: ExperimentContext) -> ExperimentReport:
@@ -38,11 +40,9 @@ def run(ctx: ExperimentContext) -> ExperimentReport:
     return synthesize(ctx, results)
 
 
-def synthesize(
-    ctx: ExperimentContext, results: dict[Cell, SimulationResult]
-) -> ExperimentReport:
+def synthesize(ctx: ExperimentContext, results: dict) -> ExperimentReport:
     """Build Table 2 from cell results (bias fractions come from the
-    context's cached traces -- profiling, not simulation)."""
+    characterization cells -- profiling, not simulation)."""
     report = ExperimentReport(
         experiment_id="table2",
         title="Highly biased branches and prediction accuracy (paper Table 2)",
@@ -55,8 +55,8 @@ def synthesize(
     biased: dict[str, float] = {}
     for program in PROGRAMS:
         spec = get_spec(program)
-        trace = ctx.trace(program, "ref")
-        fraction = dynamic_highly_biased_fraction(trace)
+        summary = results[characterization_cell(program)]
+        fraction = summary.highly_biased_fraction
         biased[program] = fraction
         row: list[object] = [
             program,

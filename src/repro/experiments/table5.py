@@ -15,15 +15,35 @@ from __future__ import annotations
 
 from repro.experiments.common import PROGRAMS, ExperimentContext
 from repro.experiments.report import ExperimentReport
-from repro.profiling.drift import analyze_drift
-from repro.profiling.profile import ProgramProfile
+from repro.profiling.drift import DriftReport
+from repro.runner import DRIFT, Cell, execute_cells
 from repro.utils.tables import format_percent
 
-__all__ = ["run"]
+__all__ = ["run", "cells", "synthesize"]
+
+
+def _drift_cell(program: str) -> Cell:
+    return Cell.profiling(DRIFT, program, profile_input="train")
+
+
+def cells(ctx: ExperimentContext) -> list[Cell]:
+    """Declared cell list: one train-to-ref drift cell per program.
+
+    Drift cells profile traces ``DRIFT_LENGTH_FACTOR`` times the
+    measurement length (see :mod:`repro.profiling.drift`).
+    """
+    return [_drift_cell(program) for program in PROGRAMS]
 
 
 def run(ctx: ExperimentContext) -> ExperimentReport:
     """Regenerate Table 5 from train/ref profiles."""
+    return synthesize(ctx, execute_cells(ctx, cells(ctx)))
+
+
+def synthesize(
+    ctx: ExperimentContext, results: dict[Cell, DriftReport]
+) -> ExperimentReport:
+    """Build Table 5 from the drift cells."""
     report = ExperimentReport(
         experiment_id="table5",
         title="Branch behaviour: training vs reference input (paper Table 5)",
@@ -33,16 +53,8 @@ def run(ctx: ExperimentContext) -> ExperimentReport:
         ["program", "coverage", "majority change", "bias change <5%",
          "bias change >50%"],
     )
-    # Profiling needs no predictor simulation, so Table 5 can afford
-    # longer runs; short traces would understate coverage purely through
-    # sampling (the paper's profiling runs cover billions of branches).
-    profile_length = ctx.trace_length * 3
     for program in PROGRAMS:
-        drift = analyze_drift(
-            ProgramProfile.from_trace(ctx.trace(program, "train", profile_length)),
-            ProgramProfile.from_trace(ctx.trace(program, "ref", profile_length)),
-            min_ref_executions=8,
-        )
+        drift = results[_drift_cell(program)]
         table.rows.append(
             [
                 program,

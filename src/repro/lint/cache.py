@@ -49,7 +49,7 @@ __all__ = [
     "git_changed_paths",
 ]
 
-CACHE_FORMAT_VERSION = 6
+CACHE_FORMAT_VERSION = 7
 DEFAULT_CACHE_PATH = ".repro-lint-cache.json"
 
 

@@ -413,6 +413,22 @@ class CallGraph:
         target = self._resolve_callee(module, fn, call.func, local_types)
         if target is not None:
             edges.add(target)
+        # A call through a module-level dispatch table
+        # (``TABLE[key](...)``, ``TABLE[key].execute(...)``) may reach
+        # any function the table's literal references.
+        head = call.func
+        while isinstance(head, ast.Attribute):
+            head = head.value
+        if (isinstance(head, ast.Subscript)
+                and isinstance(head.value, ast.Name)
+                and head.value.id in module.assigns):
+            for node in ast.walk(module.assigns[head.value.id]):
+                if isinstance(node, ast.Name):
+                    referenced = self._resolve_callee(
+                        module, fn, node, local_types
+                    )
+                    if referenced is not None:
+                        edges.add(referenced)
         # A function *referenced* in an argument (``pool.submit(worker,
         # cell)``, ``initializer=_worker_init``) may be called by the
         # receiver; treat the reference as a call for reachability.

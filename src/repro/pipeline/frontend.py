@@ -26,12 +26,21 @@ report -- are meaningful even though absolute IPC is optimistic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from repro.errors import ConfigurationError
+from repro.core.combined import CombinedPredictor
+from repro.errors import ConfigurationError, ReproError
 from repro.predictors.base import BranchPredictor
+from repro.utils.records import record_from_dict, record_to_dict
 from repro.workloads.trace import BranchTrace
 
-__all__ = ["PipelineResult", "FrontEndSimulator"]
+__all__ = [
+    "PipelineResult", "HintedPipelineRuns", "FrontEndSimulator",
+    "REDIRECT_PENALTIES",
+]
+
+REDIRECT_PENALTIES = (7, 20)
+"""Redirect penalties: Alpha-21264-class and deep-modern-class."""
 
 
 @dataclass(slots=True)
@@ -94,6 +103,64 @@ class PipelineResult:
             f"redirects {self.redirect_cycles} cycles; "
             f"{self.redirect_overhead:.1%} redirect overhead)"
         )
+
+    def to_dict(self) -> dict:
+        return record_to_dict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "PipelineResult":
+        return record_from_dict(cls, data)
+
+
+@dataclass(slots=True)
+class HintedPipelineRuns:
+    """One predictor's front-end runs alone and under static hints.
+
+    ``runs`` maps each redirect penalty to its ``(dynamic, hinted)``
+    pair of results.
+    """
+
+    runs: dict[int, tuple[PipelineResult, PipelineResult]]
+
+    @classmethod
+    def measure(
+        cls,
+        trace: BranchTrace,
+        make_dynamic: Callable[[], BranchPredictor],
+        hints,
+    ) -> "HintedPipelineRuns":
+        """Run a 4-wide front end over ``trace`` at each of
+        :data:`REDIRECT_PENALTIES`, once with a fresh ``make_dynamic()``
+        predictor alone and once with it under ``hints`` (a
+        :class:`~repro.staticpred.hints.HintAssignment`)."""
+        runs = {}
+        for penalty in REDIRECT_PENALTIES:
+            frontend = FrontEndSimulator(fetch_width=4,
+                                         redirect_penalty=penalty,
+                                         taken_bubble=1)
+            base = frontend.run(trace, make_dynamic())
+            hinted = frontend.run(
+                trace, CombinedPredictor(make_dynamic(), hints)
+            )
+            runs[penalty] = (base, hinted)
+        return cls(runs)
+
+    def to_dict(self) -> dict:
+        return {"runs": [[penalty, base.to_dict(), hinted.to_dict()]
+                         for penalty, (base, hinted) in self.runs.items()]}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "HintedPipelineRuns":
+        try:
+            return cls({
+                int(penalty): (PipelineResult.from_dict(base),
+                               PipelineResult.from_dict(hinted))
+                for penalty, base, hinted in data["runs"]
+            })
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ReproError(
+                f"malformed HintedPipelineRuns payload: {exc}"
+            ) from exc
 
 
 class FrontEndSimulator:

@@ -22,8 +22,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.profiling.profile import ProgramProfile
+from repro.utils.records import record_from_dict, record_to_dict
+from repro.workloads.trace import BranchTrace
 
-__all__ = ["DriftReport", "analyze_drift"]
+__all__ = [
+    "DRIFT_LENGTH_FACTOR", "DriftReport", "analyze_drift",
+    "analyze_trace_drift",
+]
+
+DRIFT_LENGTH_FACTOR = 3
+"""Table 5 profiles traces this many times the measurement length.
+Profiling needs no predictor simulation, so it can afford longer runs;
+short traces would understate coverage purely through sampling (the
+paper's profiling runs cover billions of branches)."""
+
+TABLE5_MIN_REF_EXECUTIONS = 8
+"""Table 5 ignores ref branches too cold to tell "unreachable under
+train" from "missed by sampling"."""
 
 
 @dataclass(slots=True)
@@ -53,6 +68,13 @@ class DriftReport:
     large_change_static: float
     """Bias (taken-rate) change > 50% -- dangerous branches."""
     large_change_dynamic: float
+
+    def to_dict(self) -> dict:
+        return record_to_dict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "DriftReport":
+        return record_from_dict(cls, data)
 
 
 def analyze_drift(
@@ -113,4 +135,12 @@ def analyze_drift(
         small_change_dynamic=small_dynamic / common_exec_denominator,
         large_change_static=large_static / common_denominator,
         large_change_dynamic=large_dynamic / common_exec_denominator,
+    )
+
+
+def analyze_trace_drift(train: BranchTrace, ref: BranchTrace) -> DriftReport:
+    """Table 5's comparison of a train trace against a ref trace."""
+    return analyze_drift(
+        ProgramProfile.from_trace(train), ProgramProfile.from_trace(ref),
+        min_ref_executions=TABLE5_MIN_REF_EXECUTIONS,
     )

@@ -6,7 +6,8 @@ across worker processes and memoizes their results on disk so re-runs
 are incremental:
 
 * :mod:`repro.runner.cells`  -- :class:`Cell` (the declared unit of
-  work) and :func:`execute_cell` (its pure executor);
+  work, of one of the :data:`CELL_KINDS`: simulation or profiling) and
+  :func:`execute_cell` (its pure executor);
 * :mod:`repro.runner.cache`  -- :class:`ResultCache`, content-addressed
   by the full (seed, trace length, site scale, cell) identity;
 * :mod:`repro.runner.store`  -- :class:`ShardedResultStore`, the
@@ -19,11 +20,28 @@ are incremental:
 
 from repro.runner.api import default_jobs, execute_cells, run_experiments
 from repro.runner.cache import CACHE_FORMAT_VERSION, ResultCache, default_cache_dir
-from repro.runner.cells import STABLE_SCHEME, Cell, execute_cell, resolve_hints
+from repro.runner.cells import (
+    CELL_KINDS,
+    CHARACTERIZE,
+    CLASSIFY,
+    DRIFT,
+    FRONTEND,
+    SIMULATE,
+    STABLE_SCHEME,
+    Cell,
+    execute_cell,
+    resolve_hints,
+)
 from repro.runner.engine import CellExecutor, RunSummary, WorkerStats
 from repro.runner.store import ShardedResultStore, default_cache_max_bytes
 
 __all__ = [
+    "CELL_KINDS",
+    "CHARACTERIZE",
+    "CLASSIFY",
+    "DRIFT",
+    "FRONTEND",
+    "SIMULATE",
     "Cell",
     "CellExecutor",
     "CACHE_FORMAT_VERSION",

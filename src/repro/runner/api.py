@@ -10,8 +10,9 @@ Two entry points:
   experiment id's declared cells, merges and deduplicates them (ids
   sharing configurations pay once), executes them through one
   :class:`~repro.runner.engine.CellExecutor`, then synthesizes every
-  report from the shared results.  Experiments that declare no cells
-  (pure-profiling tables) fall back to their serial runner.
+  report from the shared results.  Every id declares cells: the
+  profiling tables through the profiling cell kinds, ``summary`` as the
+  union of its members' cells.
 
 The registry import is deferred into the function bodies: experiment
 modules import this module for :func:`execute_cells`, and the registry
@@ -21,7 +22,6 @@ circular.
 
 from __future__ import annotations
 
-from repro.core.metrics import SimulationResult
 from repro.errors import ExperimentError
 from repro.experiments.common import ExperimentContext
 from repro.experiments.report import ExperimentReport
@@ -48,7 +48,7 @@ def execute_cells(
     cells: list[Cell],
     jobs: int | None = None,
     cache: ResultCache | None = None,
-) -> dict[Cell, SimulationResult]:
+) -> dict[Cell, object]:
     """Execute a cell list for one experiment.
 
     With no arguments beyond (ctx, cells) this is the serial in-process
@@ -77,32 +77,23 @@ def run_experiments(
 
     Cells are collected from every requested id, deduplicated, and
     executed once; each report is then synthesized from the shared
-    results.  Ids without declared cells run serially (their work is not
-    cell-shaped) and are excluded from the cell accounting.
+    results.
     """
-    from repro.experiments.registry import get_cells, get_experiment, synthesize
+    from repro.experiments.registry import get_cells, synthesize
 
     if not experiment_ids:
         raise ExperimentError("no experiment ids given")
     if ctx is None:
         ctx = ExperimentContext()
 
-    cell_lists: dict[str, list[Cell] | None] = {}
     merged: list[Cell] = []
     for experiment_id in experiment_ids:
-        cells_fn = get_cells(experiment_id)  # raises on unknown ids
-        cells = cells_fn(ctx) if cells_fn is not None else None
-        cell_lists[experiment_id] = cells
-        if cells:
-            merged.extend(cells)
+        merged.extend(get_cells(experiment_id)(ctx))  # raises on unknown ids
 
     executor = CellExecutor(ctx, jobs=jobs, cache=cache)
-    results = executor.execute(merged) if merged else {}
-
-    reports: dict[str, ExperimentReport] = {}
-    for experiment_id in experiment_ids:
-        if cell_lists[experiment_id] is None:
-            reports[experiment_id] = get_experiment(experiment_id)(ctx)
-        else:
-            reports[experiment_id] = synthesize(experiment_id, ctx, results)
+    results = executor.execute(merged)
+    reports = {
+        experiment_id: synthesize(experiment_id, ctx, results)
+        for experiment_id in experiment_ids
+    }
     return reports, executor.summary

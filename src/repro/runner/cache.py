@@ -10,8 +10,10 @@ different experiment; re-running an unchanged suite is pure hits.
 
 Two entry kinds share one directory tree:
 
-* ``result`` -- a serialized :class:`~repro.core.metrics.SimulationResult`
-  (the measurement phase);
+* ``result`` -- a cell's serialized result: a
+  :class:`~repro.core.metrics.SimulationResult` for the measurement
+  phase, or the result type of a profiling kind (see
+  :data:`repro.runner.cells.CELL_KINDS`);
 * ``hints`` -- a serialized :class:`~repro.staticpred.hints.HintAssignment`
   (the selection phase), so concurrent workers share selection work
   through the filesystem instead of through in-memory memoization that
@@ -31,8 +33,8 @@ from __future__ import annotations
 import hashlib
 import json
 
-from repro.core.metrics import SimulationResult
 from repro.errors import ReproError
+from repro.runner.cells import result_from_dict
 from repro.runner.store import ShardedResultStore
 from repro.staticpred.hints import HintAssignment
 from repro.utils.env import env_str
@@ -58,10 +60,11 @@ def _canonical_key(kind: str, fields: dict) -> str:
 
 
 class ResultCache:
-    """Content-addressed store of simulation results and hint databases.
+    """Content-addressed store of cell results and hint databases.
 
     Hit/miss counters cover *results* only (the unit the run summary
-    reports); hint traffic is an internal sharing mechanism.
+    reports), of every cell kind; hint traffic is an internal sharing
+    mechanism.
     """
 
     def __init__(self, root: str, max_bytes: int | None = None):
@@ -93,24 +96,24 @@ class ResultCache:
     # -- results ---------------------------------------------------------
 
     def result_key(self, ctx, cell) -> str:
-        """The content hash identifying one cell's measurement result."""
+        """The content hash identifying one cell's result."""
         return _canonical_key("result", cell.key_fields(ctx))
 
-    def get_result(self, ctx, cell) -> SimulationResult | None:
+    def get_result(self, ctx, cell):
         """Stored result for a cell, or None (counts the hit/miss)."""
         payload = self._read(self.result_key(ctx, cell))
         if payload is None or "result" not in payload:
             self.misses += 1
             return None
         try:
-            result = SimulationResult.from_dict(payload["result"])
+            result = result_from_dict(cell, payload["result"])
         except ReproError:
             self.misses += 1
             return None
         self.hits += 1
         return result
 
-    def put_result(self, ctx, cell, result: SimulationResult) -> None:
+    def put_result(self, ctx, cell, result) -> None:
         """Persist a cell's result (the key fields ride along for
         debuggability -- ``cat`` an entry and see what produced it)."""
         self._write(self.result_key(ctx, cell), {

@@ -3,17 +3,21 @@
 The parent process resolves cache hits up front, schedules only the
 missing cells across worker processes, writes the returned results back
 to the cache, and hands the caller a results dict in declared cell
-order.  Workers are long-lived: each builds one
+order.  Cells of every kind (simulation and profiling alike) take this
+one path.  Workers are long-lived: each builds one
 :class:`~repro.experiments.common.ExperimentContext` at startup (from
 the parent context's pickled knobs) and memoizes traces and profiles
 across every cell it executes, like the serial path does in the parent.
 
 Determinism: a cell's result is a pure function of (context knobs,
 cell); scheduling order, worker count, and cache state only change *who*
-computes a result, never its value.  Timing instrumentation is
-observability-only -- it is reported in the run summary and never enters
-a result, which is why the ``perf_counter`` reads below carry DET002
-suppressions instead of being design violations.
+computes a result, never its value.  A pool broken by a dead worker is
+rebuilt once and the cells it had not returned are retried; a second
+breakage fails that batch only, and the next batch gets a fresh pool.
+Timing instrumentation is observability-only -- it is reported in the
+run summary and never enters a result, which is why the
+``perf_counter`` reads below carry DET002 suppressions instead of being
+design violations.
 """
 
 from __future__ import annotations
@@ -21,20 +25,24 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
-from repro.core.metrics import SimulationResult
 from repro.errors import ExperimentError
 from repro.experiments.common import ExperimentContext
 from repro.runner.cache import ResultCache
-from repro.runner.cells import Cell, execute_cell
+from repro.runner.cells import SIMULATE, Cell, execute_cell, result_from_dict
 
 __all__ = ["CellExecutor", "RunSummary", "WorkerStats"]
 
 
 @dataclass(slots=True)
 class WorkerStats:
-    """Throughput accounting for one worker (or the parent, serially)."""
+    """Throughput accounting for one worker (or the parent, serially).
+
+    ``cells`` and ``seconds`` cover every kind; ``branches`` only the
+    simulated ones.
+    """
 
     label: str
     cells: int = 0
@@ -50,12 +58,18 @@ class WorkerStats:
 
 @dataclass(slots=True)
 class RunSummary:
-    """Observability record for one runner invocation."""
+    """Observability record for one runner invocation.
+
+    ``simulated`` and ``branches_simulated`` count measurement
+    (``simulate``) cells only; ``profiled`` counts computed cells of
+    every other kind.  Cache hits and the hit rate cover all kinds.
+    """
 
     jobs: int = 1
     cells: int = 0
     batches: int = 0
     simulated: int = 0
+    profiled: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     cache_evictions: int = 0
@@ -71,22 +85,26 @@ class RunSummary:
             return 0.0
         return self.cache_hits / self.cells
 
-    def record_execution(self, label: str, branches: int, seconds: float) -> None:
+    def record_execution(self, label: str, cell: Cell, result,
+                         seconds: float) -> None:
         stats = self.workers.get(label)
         if stats is None:
             stats = self.workers[label] = WorkerStats(label=label)
         stats.cells += 1
-        stats.branches += branches
         stats.seconds += seconds
+        if cell.kind != SIMULATE:
+            self.profiled += 1
+            return
+        stats.branches += result.branches
         self.simulated += 1
-        self.branches_simulated += branches
+        self.branches_simulated += result.branches
 
     def describe(self) -> str:
         """Multi-line human summary for the CLI."""
         lines = [
             f"cells: {self.cells} "
-            f"({self.simulated} simulated, {self.cache_hits} cache hits, "
-            f"hit-rate {self.hit_rate:.1%})",
+            f"({self.simulated} simulated, {self.profiled} profiled, "
+            f"{self.cache_hits} cache hits, hit-rate {self.hit_rate:.1%})",
             f"wall time: {self.wall_seconds:.2f}s with {self.jobs} job(s); "
             f"{self.branches_simulated} branches simulated",
         ]
@@ -191,6 +209,12 @@ class CellExecutor:
             self._pool.shutdown(wait=True)
             self._pool = None
 
+    def _drop_pool(self) -> None:
+        """Discard a broken persistent pool; the next use builds anew."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool = None
+
     def _ensure_pool(self) -> ProcessPoolExecutor:
         """The persistent pool, built on first use at full ``jobs`` width.
 
@@ -207,7 +231,7 @@ class CellExecutor:
             )
         return self._pool
 
-    def execute(self, cells: list[Cell]) -> dict[Cell, SimulationResult]:
+    def execute(self, cells: list[Cell]) -> dict[Cell, object]:
         """Execute cells (deduplicated), returning ``{cell: result}``.
 
         The returned dict is in first-declared cell order regardless of
@@ -216,7 +240,7 @@ class CellExecutor:
         """
         start = time.perf_counter()  # repro: allow[DET002] -- observability only
         ordered = list(dict.fromkeys(cells))
-        results: dict[Cell, SimulationResult] = {}
+        results: dict[Cell, object] = {}
         to_run: list[Cell] = []
         for cell in ordered:
             cached = self.cache.get_result(self.ctx, cell) if self.cache else None
@@ -243,7 +267,7 @@ class CellExecutor:
         return {cell: results[cell] for cell in ordered}
 
     def _execute_serial(
-        self, to_run: list[Cell], results: dict[Cell, SimulationResult]
+        self, to_run: list[Cell], results: dict[Cell, object]
     ) -> None:
         for cell in to_run:
             start = time.perf_counter()  # repro: allow[DET002] -- observability only
@@ -252,10 +276,36 @@ class CellExecutor:
             if self.cache is not None:
                 self.cache.put_result(self.ctx, cell, result)
             results[cell] = result
-            self.summary.record_execution("main", result.branches, elapsed)
+            self.summary.record_execution("main", cell, result, elapsed)
 
     def _execute_parallel(
-        self, to_run: list[Cell], results: dict[Cell, SimulationResult]
+        self, to_run: list[Cell], results: dict[Cell, object]
+    ) -> None:
+        """Run cells on a pool, surviving one broken pool per batch.
+
+        A worker that dies (OOM kill, crash) breaks the whole pool:
+        every pending future fails and the persistent pool refuses new
+        work.  Results that came back before the breakage are kept; a
+        fresh pool retries the rest once.  A second breakage fails this
+        batch only -- the broken pool is dropped either way, so the
+        next batch starts on a fresh one.
+        """
+        try:
+            self._run_pool(to_run, results)
+        except BrokenProcessPool:
+            self._drop_pool()
+            retry = [cell for cell in to_run if cell not in results]
+            try:
+                self._run_pool(retry, results)
+            except BrokenProcessPool as exc:
+                self._drop_pool()
+                raise ExperimentError(
+                    f"worker pool broke twice; {len(retry)} cell(s) of "
+                    f"this batch were not computed"
+                ) from exc
+
+    def _run_pool(
+        self, to_run: list[Cell], results: dict[Cell, object]
     ) -> None:
         if self.persistent:
             self._drain_pool(self._ensure_pool(), to_run, results)
@@ -273,15 +323,15 @@ class CellExecutor:
         self,
         pool: ProcessPoolExecutor,
         to_run: list[Cell],
-        results: dict[Cell, SimulationResult],
+        results: dict[Cell, object],
     ) -> None:
         pending = {pool.submit(_worker_run, cell) for cell in to_run}
         while pending:
             done, pending = wait(pending, return_when=FIRST_COMPLETED)
             for future in done:
                 cell, payload, elapsed, label = future.result()
-                result = SimulationResult.from_dict(payload)
+                result = result_from_dict(cell, payload)
                 if self.cache is not None:
                     self.cache.put_result(self.ctx, cell, result)
                 results[cell] = result
-                self.summary.record_execution(label, result.branches, elapsed)
+                self.summary.record_execution(label, cell, result, elapsed)

@@ -48,7 +48,7 @@ import json
 from repro.arch.isa import ShiftPolicy
 from repro.errors import ServiceError
 from repro.predictors.sizing import PREDICTOR_NAMES
-from repro.runner.cells import STABLE_SCHEME, Cell
+from repro.runner.cells import SIMULATE, STABLE_SCHEME, Cell
 from repro.staticpred.selection import SELECTION_SCHEMES
 from repro.workloads.spec95 import PROGRAM_ORDER
 
@@ -194,6 +194,8 @@ def cell_to_wire(cell: Cell) -> dict:
     }
     if cell.predictor_kwargs:
         payload["predictor_kwargs"] = dict(cell.predictor_kwargs)
+    if cell.kind != SIMULATE:
+        payload["kind"] = cell.kind
     return payload
 
 
@@ -221,10 +223,13 @@ def cell_from_wire(payload: dict) -> Cell:
     unknown = sorted(set(payload) - {
         "program", "predictor", "size_bytes", "scheme", "shift_policy",
         "measure_input", "profile_input", "cutoff", "factor",
-        "track_collisions", "predictor_kwargs",
+        "track_collisions", "predictor_kwargs", "kind",
     })
     if unknown:
         raise ProtocolError(f"unknown cell field(s): {', '.join(unknown)}")
+    # The service measures predictors; profiling kinds are report inputs
+    # that ``repro run`` computes, not something a client submits.
+    _require(payload, "kind", (SIMULATE,), default=SIMULATE)
 
     program = _require(payload, "program", PROGRAM_ORDER)
     predictor = _require(payload, "predictor", PREDICTOR_NAMES)

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.utils.records import record_from_dict, record_to_dict
 from repro.workloads.trace import BranchTrace
 
 __all__ = [
     "SiteStats",
     "TraceCharacterization",
+    "TraceSummary",
     "characterize",
     "dynamic_highly_biased_fraction",
     "bias_histogram",
@@ -84,6 +86,45 @@ class TraceCharacterization:
             1 for stats in self.site_stats.values() if stats.bias > cutoff
         )
         return biased_sites / len(self.site_stats)
+
+    def summary(self) -> "TraceSummary":
+        """The aggregate figures without the per-site table."""
+        return TraceSummary(
+            program_name=self.program_name,
+            input_name=self.input_name,
+            branch_count=self.branch_count,
+            instruction_count=self.instruction_count,
+            static_sites_executed=self.static_sites_executed,
+            cbrs_per_ki=self.cbrs_per_ki,
+            taken_rate=self.taken_rate,
+            highly_biased_fraction=self.dynamic_highly_biased_fraction(),
+        )
+
+
+@dataclass(frozen=True, slots=True)
+class TraceSummary:
+    """What Tables 1 and 2 report about one trace.
+
+    The runner caches this per (program, input) instead of the full
+    :class:`TraceCharacterization`, whose per-site table no report reads.
+    """
+
+    program_name: str
+    input_name: str
+    branch_count: int
+    instruction_count: int
+    static_sites_executed: int
+    cbrs_per_ki: float
+    taken_rate: float
+    highly_biased_fraction: float
+    """Dynamic fraction from branches with bias > 95% (Table 2)."""
+
+    def to_dict(self) -> dict:
+        return record_to_dict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "TraceSummary":
+        return record_from_dict(cls, data)
 
 
 def characterize(trace: BranchTrace) -> TraceCharacterization:

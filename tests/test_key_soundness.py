@@ -27,7 +27,14 @@ from repro.arch.isa import ShiftPolicy
 from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.common import ENV_KNOBS, ExperimentContext
 from repro.runner.cache import ResultCache
-from repro.runner.cells import _KEY_EXEMPT, Cell
+from repro.runner.cells import (
+    _KEY_EXEMPT,
+    CHARACTERIZE,
+    CLASSIFY,
+    DRIFT,
+    FRONTEND,
+    Cell,
+)
 from repro.utils.env import env_float, env_int, env_str
 from repro.utils.io import atomic_write_json, atomic_write_text
 
@@ -45,7 +52,36 @@ FIELD_PERTURBATIONS = {
     "factor": 1.10,
     "track_collisions": True,
     "predictor_kwargs": (("history_length", 8),),
+    "kind": CLASSIFY,
 }
+
+#: One representative cell per non-default kind, as the experiment
+#: modules declare them.
+KIND_CELLS = {
+    CHARACTERIZE: Cell.profiling(CHARACTERIZE, "compress"),
+    DRIFT: Cell.profiling(DRIFT, "compress", profile_input="ref"),
+    CLASSIFY: Cell("compress", "bimodal", 8192, kind=CLASSIFY),
+    FRONTEND: Cell("compress", "gshare", 4096, scheme="static_95",
+                   kind=FRONTEND),
+}
+
+#: Perturbations that differ from every KIND_CELLS value.
+KIND_FIELD_PERTURBATIONS = {
+    **FIELD_PERTURBATIONS,
+    "predictor": "2bcgskew",
+    "size_bytes": 16384,
+    "scheme": "static_acc",
+    "measure_input": "train",
+    "profile_input": "train",
+    "kind": CHARACTERIZE,
+}
+
+#: The result key of ``base_cell()`` under ``BASE_CTX``, as computed
+#: before cells had kinds.  Simulation keys must stay byte-identical so
+#: every existing store stays warm.
+PINNED_SIMULATION_KEY = (
+    "1d70fc6a77568df1f4a8216f2376bb97b2e0cc3bb5c488329735eda66d9b5b0a"
+)
 
 
 def base_cell() -> Cell:
@@ -72,6 +108,34 @@ class TestCacheKeySoundness:
         )
         assert getattr(mutated, field) != getattr(cell, field)
         assert cache.result_key(ctx, mutated) != cache.result_key(ctx, cell)
+
+    @pytest.mark.parametrize("kind", sorted(KIND_CELLS))
+    @pytest.mark.parametrize("field", sorted(KIND_FIELD_PERTURBATIONS))
+    def test_each_field_of_each_kind_changes_the_key(self, tmp_path, kind,
+                                                     field):
+        cache = ResultCache(str(tmp_path))
+        ctx = ExperimentContext(**BASE_CTX)
+        cell = KIND_CELLS[kind]
+        value = KIND_FIELD_PERTURBATIONS[field]
+        if field == "kind" and kind == value:
+            value = DRIFT
+        mutated = dataclasses.replace(cell, **{field: value})
+        assert getattr(mutated, field) != getattr(cell, field)
+        assert cache.result_key(ctx, mutated) != cache.result_key(ctx, cell)
+
+    def test_kinds_never_share_a_key(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        ctx = ExperimentContext(**BASE_CTX)
+        cell = base_cell()
+        keys = {cache.result_key(ctx, dataclasses.replace(cell, kind=kind))
+                for kind in ("simulate", *KIND_CELLS)}
+        assert len(keys) == 1 + len(KIND_CELLS)
+
+    def test_simulation_key_is_pinned(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        ctx = ExperimentContext(**BASE_CTX)
+        assert key_of(cache, ctx) == PINNED_SIMULATION_KEY
+        assert "kind" not in base_cell().key_fields(ctx)
 
     @pytest.mark.parametrize("knob,value", [
         ("seed", 2),

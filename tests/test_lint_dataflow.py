@@ -132,6 +132,35 @@ class TestCallGraph:
         }))
         assert "pkg.jobs.task" in graph.callees("pkg.jobs.schedule")
 
+    def test_call_through_module_dispatch_table_reaches_every_entry(
+        self, tmp_path
+    ):
+        # execute_cell dispatches on the cell kind through a table; the
+        # worker-purity and cache-key proofs must still see every kind.
+        graph = CallGraph.build(project_from(tmp_path, {
+            "pkg/__init__.py": "",
+            "pkg/kinds.py": """
+                def simulate(cell):
+                    return 1
+
+                def profile(cell):
+                    return 2
+
+                KINDS = {"simulate": Kind(simulate), "profile": Kind(profile)}
+                PLAIN = {"simulate": simulate}
+
+                def execute(cell):
+                    return KINDS[cell.kind].execute(cell)
+
+                def execute_plain(cell):
+                    return PLAIN[cell.kind](cell)
+            """,
+        }))
+        assert {"pkg.kinds.simulate", "pkg.kinds.profile"} <= set(
+            graph.callees("pkg.kinds.execute")
+        )
+        assert "pkg.kinds.simulate" in graph.callees("pkg.kinds.execute_plain")
+
     def test_path_suffix_resolution_for_fixture_trees(self, tmp_path):
         # ``from repro.runner.cells import Cell`` must resolve against a
         # fixture laid out as tmp/runner/cells.py: real source is linted

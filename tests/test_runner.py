@@ -14,7 +14,10 @@ The load-bearing guarantees:
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import pickle
+import signal
 
 import pytest
 
@@ -22,7 +25,12 @@ from repro.core.metrics import SimulationResult
 from repro.errors import ExperimentError, ReproError
 from repro.experiments.common import ExperimentContext
 from repro.predictors.collisions import CollisionCounts
+from repro.experiments.registry import EXPERIMENT_IDS
 from repro.runner import (
+    CHARACTERIZE,
+    CLASSIFY,
+    DRIFT,
+    FRONTEND,
     Cell,
     CellExecutor,
     ResultCache,
@@ -31,6 +39,7 @@ from repro.runner import (
     resolve_hints,
     run_experiments,
 )
+from repro.runner import engine
 
 TINY = dict(trace_length=3_000, site_scale=0.02, seed=11)
 
@@ -364,10 +373,158 @@ class TestRunExperiments:
         assert summary.cells == expected
         assert summary.simulated == expected
 
-    def test_cell_less_experiment_falls_back_to_serial(self):
+    def test_profiling_experiment_runs_as_cells(self):
         reports, summary = run_experiments(["table5"], ctx=tiny_context())
         assert reports["table5"].experiment_id == "table5"
-        assert summary.cells == 0
+        assert summary.cells == summary.profiled == 6
+        assert summary.simulated == summary.branches_simulated == 0
+
+    def test_second_run_of_every_id_computes_nothing(self, tmp_path):
+        ids = list(EXPERIMENT_IDS)
+        cold, cold_summary = run_experiments(
+            ids, ctx=tiny_context(), jobs=2, cache=ResultCache(str(tmp_path)),
+        )
+        assert cold_summary.simulated > 0 and cold_summary.profiled > 0
+        warm_ctx = tiny_context()
+        warm, warm_summary = run_experiments(
+            ids, ctx=warm_ctx, jobs=2, cache=ResultCache(str(tmp_path)),
+        )
+        assert warm_summary.simulated == warm_summary.profiled == 0
+        assert warm_ctx._traces == {}  # no report synthesized a trace
+        assert warm_summary.cache_hits == warm_summary.cells
+        assert "(0 simulated, 0 profiled" in warm_summary.describe()
+        for experiment_id in ids:
+            assert (warm[experiment_id].render()
+                    == cold[experiment_id].render())
+
+
+def profiling_cells() -> list[Cell]:
+    """Cells of every profiling kind, as the experiment modules declare
+    them."""
+    return [
+        Cell.profiling(CHARACTERIZE, "gcc", measure_input="train"),
+        Cell.profiling(CHARACTERIZE, "go"),
+        Cell.profiling(DRIFT, "perl", profile_input="train"),
+        Cell.profiling(DRIFT, "compress", profile_input="train"),
+        Cell.make("gcc", "bimodal", 8192, kind=CLASSIFY),
+        Cell.make("go", "gshare", 8192, kind=CLASSIFY),
+        Cell.make("gcc", "gshare", 4096, scheme="static_acc", kind=FRONTEND),
+        Cell.make("ijpeg", "gshare", 4096, scheme="static_95", kind=FRONTEND),
+    ]
+
+
+class TestProfilingKinds:
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ExperimentError, match="unknown cell kind"):
+            Cell.profiling("bogus", "gcc")
+
+    def test_parallel_bit_identical_to_serial(self):
+        cells = profiling_cells()
+        serial = CellExecutor(tiny_context(), jobs=1).execute(cells)
+        parallel = CellExecutor(tiny_context(), jobs=2).execute(cells)
+        assert list(parallel) == list(serial) == cells
+        for cell in cells:
+            assert type(parallel[cell]) is type(serial[cell])
+            assert parallel[cell].to_dict() == serial[cell].to_dict()
+
+    def test_results_round_trip_through_the_store(self, tmp_path):
+        cells = profiling_cells()
+        cold = CellExecutor(tiny_context(), jobs=1,
+                            cache=ResultCache(str(tmp_path)))
+        computed = cold.execute(cells)
+        warm = CellExecutor(tiny_context(), jobs=1,
+                            cache=ResultCache(str(tmp_path)))
+        stored = warm.execute(cells)
+        assert warm.summary.cache_hits == len(cells)
+        for cell in cells:
+            assert stored[cell] == computed[cell]
+
+    def test_summary_counts_profiling_apart_from_simulation(self):
+        executor = CellExecutor(tiny_context(), jobs=1)
+        executor.execute(profiling_cells() + [Cell.make("gcc", "gshare", 512)])
+        summary = executor.summary
+        assert summary.profiled == len(profiling_cells())
+        assert summary.simulated == 1
+        assert summary.branches_simulated == tiny_context().trace_length
+        assert summary.workers["main"].cells == summary.cells
+
+    def test_frontend_hints_shared_with_simulation_cells(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        ctx = tiny_context()
+        frontend = Cell.make("gcc", "gshare", 4096, scheme="static_acc",
+                             kind=FRONTEND)
+        execute_cell(ctx, frontend, cache=cache)
+        simulate = Cell.make("gcc", "gshare", 4096, scheme="static_acc")
+        assert cache.get_hints(ctx, simulate) is not None
+
+
+def kill_worker_on(victim: Cell, marker: str | None):
+    """An ``execute_cell`` that SIGKILLs its worker on ``victim``: once
+    (creating ``marker``), or on every attempt when ``marker`` is None."""
+    real = execute_cell
+
+    def execute(ctx, cell, cache=None):
+        if cell == victim and os.getpid() != PARENT_PID:
+            if marker is None or not os.path.exists(marker):
+                if marker is not None:
+                    open(marker, "w").close()
+                os.kill(os.getpid(), signal.SIGKILL)
+        return real(ctx, cell, cache=cache)
+
+    return execute
+
+
+PARENT_PID = os.getpid()
+
+#: The kill is injected by patching ``execute_cell`` in this process;
+#: only workers forked from it inherit the patch.
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_context().get_start_method() != "fork",
+    reason="worker-kill injection needs forked pool workers",
+)
+
+
+@needs_fork
+class TestPoolRecovery:
+    """One dead worker degrades one batch, never the executor."""
+
+    def test_worker_killed_mid_batch_is_retried_on_a_fresh_pool(
+        self, tmp_path, monkeypatch
+    ):
+        cells = some_cells()
+        expected = CellExecutor(tiny_context(), jobs=1).execute(cells)
+        monkeypatch.setattr(engine, "execute_cell", kill_worker_on(
+            cells[2], str(tmp_path / "killed-once")
+        ))
+        with CellExecutor(tiny_context(), jobs=2, persistent=True) as executor:
+            results = executor.execute(cells)
+            assert os.path.exists(tmp_path / "killed-once")
+            for cell in cells:
+                assert results[cell].to_dict() == expected[cell].to_dict()
+            assert executor.summary.simulated == len(cells)
+            # The next request runs on the rebuilt pool.
+            follow_up = [Cell.make("perl", "gshare", 512),
+                         Cell.make("perl", "bimodal", 512)]
+            assert list(executor.execute(follow_up)) == follow_up
+
+    def test_per_call_pool_also_retries(self, tmp_path, monkeypatch):
+        cells = some_cells()
+        monkeypatch.setattr(engine, "execute_cell", kill_worker_on(
+            cells[0], str(tmp_path / "killed-once")
+        ))
+        results = CellExecutor(tiny_context(), jobs=2).execute(cells)
+        assert list(results) == cells
+
+    def test_repeated_breakage_fails_that_batch_only(self, monkeypatch):
+        cells = some_cells()
+        monkeypatch.setattr(engine, "execute_cell",
+                            kill_worker_on(cells[1], None))
+        with CellExecutor(tiny_context(), jobs=2, persistent=True) as executor:
+            with pytest.raises(ReproError, match="worker pool broke twice"):
+                executor.execute(cells)
+            others = [cell for cell in cells if cell != cells[1]]
+            results = executor.execute(others)
+            assert list(results) == others
 
 
 class TestContextPickling:

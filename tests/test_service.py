@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
+import os
 import socket
 
 import pytest
@@ -139,6 +141,18 @@ class TestProtocol:
     def test_invalid_cells_rejected_at_the_boundary(self, payload):
         with pytest.raises(ProtocolError):
             protocol.cell_from_wire(payload)
+
+    def test_measurement_cells_carry_no_kind_on_the_wire(self):
+        cell = Cell.make("gcc", "gshare", 1024)
+        assert "kind" not in protocol.cell_to_wire(cell)
+        assert protocol.cell_from_wire({**WIRE_CELL, "kind": "simulate"}) \
+            == Cell.make("gcc", "gshare", 1024)
+
+    @pytest.mark.parametrize("kind", ["characterize", "drift", "classify",
+                                      "frontend", "bogus"])
+    def test_non_measurement_kinds_rejected(self, kind):
+        with pytest.raises(ProtocolError, match="kind"):
+            protocol.cell_from_wire({**WIRE_CELL, "kind": kind})
 
 
 class TestBatchingScheduler:
@@ -479,6 +493,138 @@ class TestPredictorService:
                 server.communicate()
         assert server.returncode == 0
         assert "Traceback" not in stderr, stderr
+
+
+#: The in-process kill is injected by patching ``execute_cell`` in this
+#: process, and the ``repro serve`` test looks for the server's workers
+#: among its children; both hold only for forked pool workers.
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_context().get_start_method() != "fork",
+    reason="needs forked pool workers",
+)
+
+
+@needs_loopback
+class TestWorkerLoss:
+    """A dead pool worker costs the service one retried batch, never
+    every later request."""
+
+    @needs_fork
+    def test_worker_killed_mid_batch_then_next_request_succeeds(
+        self, tiny_ctx, tmp_path, monkeypatch
+    ):
+        import signal
+
+        from repro.runner import engine
+
+        victim = {"program": "go", "predictor": "bimodal", "size_bytes": 512}
+        victim_cell = protocol.cell_from_wire(victim)
+        marker = str(tmp_path / "killed-once")
+        real = engine.execute_cell
+        parent = os.getpid()
+
+        def execute(ctx, cell, cache=None):
+            if (os.getpid() != parent and cell == victim_cell
+                    and not os.path.exists(marker)):
+                open(marker, "w").close()
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(ctx, cell, cache=cache)
+
+        monkeypatch.setattr(engine, "execute_cell", execute)
+
+        async def main():
+            service = PredictorService(
+                tiny_ctx, ServiceConfig(port=0, window_s=0.0), jobs=2
+            )
+            await service.start()
+            client = await ServiceClient.connect("127.0.0.1", service.port)
+            async with client:
+                batch = await client.stream([dict(WIRE_CELL), victim])
+                assert {m["type"] for m in batch} == {"result"}
+                assert os.path.exists(marker)
+                after = await client.stream([
+                    {**WIRE_CELL, "size_bytes": 2048},
+                    {**victim, "size_bytes": 1024},
+                ])
+                assert {m["type"] for m in after} == {"result"}
+            await service.stop()
+
+        asyncio.run(main())
+
+    @needs_fork
+    @pytest.mark.skipif(not os.path.isdir("/proc"),
+                        reason="finds the server's workers through /proc")
+    def test_repro_serve_survives_a_killed_worker(self, tmp_path):
+        import re
+        import signal
+        import subprocess
+        import sys
+
+        import repro
+
+        env = {name: value for name, value in os.environ.items()
+               if not name.startswith("REPRO_")}
+        env.update(
+            PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)),
+            REPRO_TRACE_LENGTH="2000",
+            REPRO_EXPERIMENT_SITE_SCALE="0.02",
+        )
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--host", "127.0.0.1",
+             "--port", "0", "--no-cache", "--jobs", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env, cwd=tmp_path,
+        )
+
+        def cmdline(pid) -> bytes:
+            with open(f"/proc/{pid}/cmdline", "rb") as f:
+                return f.read()
+
+        def workers() -> list[int]:
+            """The server's forked pool workers: its children that run
+            its own command line (not, say, a resource tracker)."""
+            pids = []
+            for entry in os.listdir("/proc"):
+                if not entry.isdigit():
+                    continue
+                try:
+                    with open(f"/proc/{entry}/stat", encoding="utf-8") as f:
+                        # "pid (comm) state ppid ..."; comm may hold spaces.
+                        ppid = int(f.read().rpartition(")")[2].split()[1])
+                    if (ppid == server.pid
+                            and cmdline(entry) == cmdline(server.pid)):
+                        pids.append(int(entry))
+                except (OSError, IndexError, ValueError):
+                    continue  # exited while we looked
+            return pids
+
+        async def main(port):
+            client = await ServiceClient.connect("127.0.0.1", port)
+            async with client:
+                first = await client.stream([
+                    dict(WIRE_CELL), {**WIRE_CELL, "predictor": "bimodal"}
+                ])
+                assert {m["type"] for m in first} == {"result"}
+                pool = workers()
+                assert pool, "the batch ran on no worker pool"
+                os.kill(pool[0], signal.SIGKILL)
+                second = await client.stream([
+                    {**WIRE_CELL, "size_bytes": 2048},
+                    {**WIRE_CELL, "predictor": "bimodal", "size_bytes": 2048},
+                ])
+                assert {m["type"] for m in second} == {"result"}
+                await client.shutdown()
+
+        try:
+            port = int(re.search(r":(\d+) with",
+                                 server.stdout.readline()).group(1))
+            asyncio.run(main(port))
+            _, stderr = server.communicate(timeout=60)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        assert server.returncode == 0, stderr
 
 
 class TestLoadgenReportMath:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.workloads.stats import (
     SiteStats,
+    TraceSummary,
     bias_histogram,
     characterize,
     dynamic_highly_biased_fraction,
@@ -73,6 +74,14 @@ class TestCharacterize:
         ch = characterize(make_trace([]))
         assert ch.dynamic_highly_biased_fraction() == 0.0
         assert ch.static_highly_biased_fraction() == 0.0
+
+
+class TestTraceSummary:
+    def test_summary_round_trips(self, gcc_trace):
+        summary = characterize(gcc_trace).summary()
+        assert TraceSummary.from_dict(summary.to_dict()) == summary
+        assert summary.highly_biased_fraction \
+            == dynamic_highly_biased_fraction(gcc_trace)
 
 
 class TestBiasHistogram:
